@@ -41,8 +41,27 @@ def _nonneg(text: str) -> int:
     return value
 
 
+def _jobs(text: str) -> int:
+    """A worker count of at least 1, clamped to the number of CPUs."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError("expected a positive integer")
+    return min(value, os.cpu_count() or 1)
+
+
 def _hard_cap() -> int:
-    return int(os.environ.get(HARD_CAP_ENV, str(HARD_CAP_DEFAULT)))
+    text = os.environ.get(HARD_CAP_ENV, str(HARD_CAP_DEFAULT))
+    error = ValueError(f"{HARD_CAP_ENV} must be a nonnegative integer, got {text!r}")
+    try:
+        value = int(text)
+    except ValueError:
+        raise error from None
+    if value < 0:
+        raise error
+    return value
 
 
 def _check_cap(max_len: int) -> None:
@@ -58,7 +77,7 @@ def resolve_grammar(which: str, rank: int) -> cfg.Grammar:
         tail = which[3:]
         if len(tail) != 1:
             raise ValueError(f"expected Zx:<letter>, got {which!r}")
-        return fim_grammars.avoiding_grammar(rank, words.char_to_letter(tail, rank))
+        return fim_grammars.avoiding_grammar(rank, words.parse_letter(tail, rank))
     if which == "K1":
         return fim_grammars.k1_grammar(rank)
     if which == "K2":
@@ -72,11 +91,11 @@ def resolve_grammar(which: str, rank: int) -> cfg.Grammar:
 
 # semantic deciders matching each grammar; module-level so crosscheck workers
 # can pickle them
-def _pred_idempotent(item: words.Word) -> bool:
+def _pred_idempotent(item: str) -> bool:
     return munn.is_idempotent(item)
 
 
-def _pred_avoiding(letter: words.Letter, item: words.Word) -> bool:
+def _pred_avoiding(letter: str, item: str) -> bool:
     return munn.is_idempotent(item) and munn.avoids(item, letter)
 
 
@@ -95,7 +114,7 @@ def _pred_cowp(item: words.MarkedWord) -> bool:
 
 
 def _pred_fg_nontrivial(item: words.MarkedWord) -> bool:
-    return words.free_reduce(item.left + item.right) != ()
+    return words.free_reduce(item.left + item.right) != ""
 
 
 def oracle_for(which: str, rank: int) -> tuple[Callable, bool]:
@@ -104,7 +123,7 @@ def oracle_for(which: str, rank: int) -> tuple[Callable, bool]:
     if which == "E":
         return _pred_idempotent, False
     if which.startswith("Zx:"):
-        letter = words.char_to_letter(which[3:], rank)
+        letter = words.parse_letter(which[3:], rank)
         return partial(_pred_avoiding, letter), False
     if which == "K1":
         return _pred_k1, True
@@ -226,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank", type=_rank, required=True)
     p.add_argument("--which", required=True, help=GRAMMAR_CHOICES)
     p.add_argument("--max-len", type=_nonneg, required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1)
     p.set_defaults(func=_cmd_crosscheck)
 
     p = sub.add_parser("munn", help="render the Munn tree of a word")

@@ -18,37 +18,22 @@ from .cfg import (
 )
 from .munn import avoids, is_idempotent
 from .oracle import enumerate_words
-from .words import (
-    MARKER,
-    Letter,
-    MarkedWord,
-    Word,
-    alphabet,
-    invert_letter,
-    letter_to_char,
-    rev_invert,
-)
+from .words import MARKER, MarkedWord, alphabet, rev_invert
 
 
-def _nt(tag: str, letter: Letter) -> str:
-    return f"{tag}({letter_to_char(letter)})"
+def _nt(tag: str, letter: str) -> str:
+    return f"{tag}({letter})"
 
 
-def _terminals(letters: tuple[Letter, ...]) -> set[str]:
-    return {letter_to_char(l) for l in letters}
-
-
-def _idempotent_productions(letters: tuple[Letter, ...]) -> list[Production]:
+def _idempotent_productions(letters: str) -> list[Production]:
     # E -> E E | x E x^-1 | epsilon, one bracketing production per letter
     prods = [Production("E", ("E", "E")), Production("E", ())]
     for x in letters:
-        prods.append(
-            Production("E", (letter_to_char(x), "E", letter_to_char(invert_letter(x))))
-        )
+        prods.append(Production("E", (x, "E", x.swapcase())))
     return prods
 
 
-def _avoiding_productions(letters: tuple[Letter, ...]) -> list[Production]:
+def _avoiding_productions(letters: str) -> list[Production]:
     # Z(a) -> Z(a) Z(a) | y Z(y^-1) y^-1 | epsilon, over y != a
     prods = []
     for a in letters:
@@ -57,16 +42,7 @@ def _avoiding_productions(letters: tuple[Letter, ...]) -> list[Production]:
         prods.append(Production(za, ()))
         for y in letters:
             if y != a:
-                prods.append(
-                    Production(
-                        za,
-                        (
-                            letter_to_char(y),
-                            _nt("Z", invert_letter(y)),
-                            letter_to_char(invert_letter(y)),
-                        ),
-                    )
-                )
+                prods.append(Production(za, (y, _nt("Z", y.swapcase()), y.swapcase())))
     return prods
 
 
@@ -75,20 +51,20 @@ def idempotent_grammar(rank: int) -> Grammar:
     """Words representing idempotents, i.e. words freely reducing to the
     empty word."""
     letters = alphabet(rank)
-    return Grammar(_terminals(letters), {"E"}, _idempotent_productions(letters), "E")
+    return Grammar(set(letters), {"E"}, _idempotent_productions(letters), "E")
 
 
 @lru_cache(maxsize=None)
-def avoiding_grammar(rank: int, avoid: Letter) -> Grammar:
+def avoiding_grammar(rank: int, avoid: str) -> Grammar:
     """Idempotent words whose tree lacks the edge from the root to `avoid`.
 
     The whole Z-family is emitted; the start selects the avoided letter.
     """
     letters = alphabet(rank)
-    if avoid not in letters:
+    if len(avoid) != 1 or avoid not in letters:
         raise ValueError(f"letter {avoid!r} out of range for rank {rank}")
     nts = {_nt("Z", a) for a in letters}
-    return Grammar(_terminals(letters), nts, _avoiding_productions(letters), _nt("Z", avoid))
+    return Grammar(set(letters), nts, _avoiding_productions(letters), _nt("Z", avoid))
 
 
 @lru_cache(maxsize=None)
@@ -98,43 +74,30 @@ def k1_grammar(rank: int) -> Grammar:
     letters = alphabet(rank)
     prods: list[Production] = []
     for x in letters:
-        cx = letter_to_char(x)
-        cxi = letter_to_char(invert_letter(x))
+        xi = x.swapcase()
         prods.append(Production("S", (_nt("P", x),)))
         prods.append(Production(_nt("Q", x), (MARKER,)))
         for y in letters:
-            if y != invert_letter(x):
-                prods.append(
-                    Production(_nt("P", x), ("E", cx, _nt("P", y), cxi, _nt("Z", x)))
-                )
-                prods.append(
-                    Production(
-                        _nt("Q", x),
-                        (cx, "E", _nt("Q", y), _nt("Z", invert_letter(x)), cxi),
-                    )
-                )
+            if y != xi:
+                prods.append(Production(_nt("P", x), ("E", x, _nt("P", y), xi, _nt("Z", x))))
+                prods.append(Production(_nt("Q", x), (x, "E", _nt("Q", y), _nt("Z", xi), xi)))
             if y != x:
                 prods.append(
-                    Production(
-                        _nt("P", x),
-                        ("E", cx, "E", cxi, "E", _nt("Q", y), _nt("Z", x)),
-                    )
+                    Production(_nt("P", x), ("E", x, "E", xi, "E", _nt("Q", y), _nt("Z", x)))
                 )
     prods += _idempotent_productions(letters)
     prods += _avoiding_productions(letters)
     nts = {"S", "E"}
     for tag in ("P", "Q", "Z"):
         nts.update(_nt(tag, x) for x in letters)
-    return Grammar(_terminals(letters) | {MARKER}, nts, prods, "S")
+    return Grammar(set(letters) | {MARKER}, nts, prods, "S")
 
 
 @lru_cache(maxsize=None)
 def k2_grammar(rank: int) -> Grammar:
     """Mirror of k1_grammar: the pair is equal in the free group while the
     tree of v has an edge the tree of u lacks."""
-    involution = {
-        letter_to_char(l): letter_to_char(invert_letter(l)) for l in alphabet(rank)
-    }
+    involution = {x: x.swapcase() for x in alphabet(rank)}
     return reverse_invert_grammar(k1_grammar(rank), involution)
 
 
@@ -151,14 +114,14 @@ def cowp_fg_grammar(rank: int) -> Grammar:
     prods: list[Production] = []
     for x in letters:
         rx = _nt("R", x)
-        prods.append(Production("S", ("E", letter_to_char(x), rx)))
+        prods.append(Production("S", ("E", x, rx)))
         prods.append(Production(rx, ("E",)))
         for y in letters:
-            if y != invert_letter(x):
-                prods.append(Production(rx, ("E", letter_to_char(y), _nt("R", y))))
+            if y != x.swapcase():
+                prods.append(Production(rx, ("E", y, _nt("R", y))))
     prods += _idempotent_productions(letters)
     nts = {"S", "E"} | {_nt("R", x) for x in letters}
-    nontrivial = Grammar(_terminals(letters), nts, prods, "S")
+    nontrivial = Grammar(set(letters), nts, prods, "S")
     return insert_marker_grammar(nontrivial, MARKER)
 
 
@@ -170,12 +133,12 @@ def cowp_fim_grammar(rank: int) -> Grammar:
 
 
 @lru_cache(maxsize=None)
-def _idempotent_pool(rank: int, cap: int) -> tuple[Word, ...]:
+def _idempotent_pool(rank: int, cap: int) -> tuple[str, ...]:
     return tuple(w for w in enumerate_words(rank, 2 * cap) if is_idempotent(w))
 
 
 @lru_cache(maxsize=None)
-def _avoiding_pool(rank: int, letter: Letter, cap: int) -> tuple[Word, ...]:
+def _avoiding_pool(rank: int, letter: str, cap: int) -> tuple[str, ...]:
     return tuple(w for w in _idempotent_pool(rank, cap) if avoids(w, letter))
 
 
@@ -197,39 +160,39 @@ def sample_kmn(rank: int, m: int, n: int, seed: int, cap: int = 2) -> MarkedWord
     letters = alphabet(rank)
     rng = random.Random(seed)
 
-    def pick_letter(banned: tuple[Letter, ...] = ()) -> Letter:
+    def pick_letter(banned: tuple[str, ...] = ()) -> str:
         return rng.choice([l for l in letters if l not in banned])
 
     idem = _idempotent_pool(rank, cap)
 
-    xs: list[Letter] = []
+    xs: list[str] = []
     for _ in range(m):
-        xs.append(pick_letter((invert_letter(xs[-1]),) if xs else ()))
-    x = pick_letter((invert_letter(xs[-1]),) if xs else ())
-    ys: list[Letter] = []
+        xs.append(pick_letter((xs[-1].swapcase(),) if xs else ()))
+    x = pick_letter((xs[-1].swapcase(),) if xs else ())
+    ys: list[str] = []
     for _ in range(n):
-        ys.append(pick_letter((x,) if not ys else (invert_letter(ys[-1]),)))
+        ys.append(pick_letter((x,) if not ys else (ys[-1].swapcase(),)))
 
-    u: list[Letter] = []
+    u: list[str] = []
     for xi in xs:
-        u.extend(rng.choice(idem))
+        u.append(rng.choice(idem))
         u.append(xi)
-    u.extend(rng.choice(idem))
+    u.append(rng.choice(idem))
     u.append(x)
-    u.extend(rng.choice(idem))
-    u.append(invert_letter(x))
-    u.extend(rng.choice(idem))
+    u.append(rng.choice(idem))
+    u.append(x.swapcase())
+    u.append(rng.choice(idem))
     for yi in ys:
         u.append(yi)
-        u.extend(rng.choice(idem))
+        u.append(rng.choice(idem))
 
-    v: list[Letter] = []
+    v: list[str] = []
     for xi in xs:
-        v.extend(rng.choice(_avoiding_pool(rank, xi, cap)))
+        v.append(rng.choice(_avoiding_pool(rank, xi, cap)))
         v.append(xi)
-    v.extend(rng.choice(_avoiding_pool(rank, x, cap)))
+    v.append(rng.choice(_avoiding_pool(rank, x, cap)))
     for yi in ys:
         v.append(yi)
-        v.extend(rng.choice(_avoiding_pool(rank, invert_letter(yi), cap)))
+        v.append(rng.choice(_avoiding_pool(rank, yi.swapcase(), cap)))
 
-    return MarkedWord(tuple(u), rev_invert(tuple(v)))
+    return MarkedWord("".join(u), rev_invert("".join(v)))

@@ -1,9 +1,10 @@
 """Munn trees: canonical forms for free inverse monoid elements.
 
 A tree is the subtree of the free-group Cayley graph traced by reading a
-word from the root, together with the endpoint of the path.  Two words
-represent the same monoid element exactly when their trees are equal, which
-makes these trees the semantic oracle for every language in this package.
+word from the root, together with the endpoint of the path.  Vertices are
+reduced words, the root is ``""``.  Two words represent the same monoid
+element exactly when their trees are equal, which makes these trees the
+semantic oracle for every language in this package.
 """
 
 from __future__ import annotations
@@ -12,51 +13,39 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .words import (
-    EPSILON_TOKEN,
-    Letter,
-    MarkedWord,
-    Word,
-    format_word,
-    free_reduce,
-    invert_letter,
-    letter_to_char,
-)
+from .words import EPSILON_TOKEN, MarkedWord, free_reduce, symbol_sort_key
 
 
 class Edge(NamedTuple):
     """A Cayley-graph edge, keyed by the endpoint nearer the root plus the
-    letter read walking away from the root."""
+    letter read walking away from the root; the far endpoint is
+    ``vertex + letter``."""
 
-    vertex: Word
-    letter: Letter
+    vertex: str
+    letter: str
 
 
 @dataclass(frozen=True)
 class MunnTree:
     edges: frozenset[Edge]
-    terminal: Word
+    terminal: str
 
 
-def _step(vertex: Word, letter: Letter) -> tuple[Edge, Word]:
+def _step(vertex: str, letter: str) -> tuple[Edge, str]:
     """Normalized edge and endpoint reached by reading a letter from a reduced vertex."""
-    if vertex and vertex[-1] == invert_letter(letter):
+    if vertex and vertex[-1] == letter.swapcase():
         target = vertex[:-1]
         return Edge(target, vertex[-1]), target
-    return Edge(vertex, letter), vertex + (letter,)
+    return Edge(vertex, letter), vertex + letter
 
 
-def build_munn(word: Word) -> MunnTree:
+def build_munn(word: str) -> MunnTree:
     edges: set[Edge] = set()
-    vertex: Word = ()
+    vertex = ""
     for letter in word:
         edge, vertex = _step(vertex, letter)
         edges.add(edge)
     return MunnTree(frozenset(edges), vertex)
-
-
-def munn_equal(s: MunnTree, t: MunnTree) -> bool:
-    return s == t
 
 
 def munn_product(s: MunnTree, t: MunnTree) -> MunnTree:
@@ -70,20 +59,20 @@ def munn_product(s: MunnTree, t: MunnTree) -> MunnTree:
     return MunnTree(frozenset(edges), free_reduce(s.terminal + t.terminal))
 
 
-def is_idempotent(word: Word) -> bool:
-    return free_reduce(word) == ()
+def is_idempotent(word: str) -> bool:
+    return not free_reduce(word)
 
 
-def avoids(word: Word, x: Letter) -> bool:
+def avoids(word: str, x: str) -> bool:
     """True when the tree of the word lacks the edge joining the root to x."""
-    return Edge((), x) not in build_munn(word).edges
+    return Edge("", x) not in build_munn(word).edges
 
 
-def fim_equal(u: Word, v: Word) -> bool:
+def fim_equal(u: str, v: str) -> bool:
     return build_munn(u) == build_munn(v)
 
 
-def in_k1(u: Word, v: Word) -> bool:
+def in_k1(u: str, v: str) -> bool:
     """Equal in the free group, but u's tree has an edge v's tree lacks."""
     tu = build_munn(u)
     tv = build_munn(v)
@@ -95,28 +84,27 @@ def in_cowp(marked: MarkedWord) -> bool:
     return not fim_equal(u, v)
 
 
-def _vertex_label(vertex: Word) -> str:
-    return format_word(vertex) if vertex else EPSILON_TOKEN
+def _vertex_label(vertex: str) -> str:
+    return vertex or EPSILON_TOKEN
 
 
-def tree_vertices(tree: MunnTree) -> list[Word]:
-    """All vertices in length-then-lexicographic order; the root is always present."""
-    seen: set[Word] = {(), tree.terminal}
-    for edge in tree.edges:
-        seen.add(edge.vertex)
-        seen.add(edge.vertex + (edge.letter,))
-    return sorted(seen, key=lambda v: (len(v), v))
+def tree_vertices(tree: MunnTree) -> list[str]:
+    """All vertices in length-then-canonical order; the root is always present."""
+    seen = {"", tree.terminal}
+    seen.update(edge.vertex + edge.letter for edge in tree.edges)
+    return sorted(seen, key=symbol_sort_key)
 
 
 def _sorted_edges(tree: MunnTree) -> list[Edge]:
-    return sorted(tree.edges, key=lambda e: (len(e.vertex), e.vertex, e.letter))
+    """Edges in the order of their far endpoints."""
+    return sorted(tree.edges, key=lambda e: symbol_sort_key(e.vertex + e.letter))
 
 
 def render_dot(tree: MunnTree) -> str:
     lines = ["graph munn {"]
     for vertex in tree_vertices(tree):
         attrs = []
-        if vertex == ():
+        if vertex == "":
             attrs.append("shape=doublecircle")
         if vertex == tree.terminal:
             attrs.append("style=filled")
@@ -124,24 +112,24 @@ def render_dot(tree: MunnTree) -> str:
         lines.append(f'  "{_vertex_label(vertex)}"{suffix};')
     for edge in _sorted_edges(tree):
         near = _vertex_label(edge.vertex)
-        far = _vertex_label(edge.vertex + (edge.letter,))
-        lines.append(f'  "{near}" -- "{far}" [label="{letter_to_char(edge.letter)}"];')
+        far = edge.vertex + edge.letter
+        lines.append(f'  "{near}" -- "{far}" [label="{edge.letter}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def render_ascii(tree: MunnTree) -> str:
-    children: dict[Word, list[tuple[Letter, Word]]] = defaultdict(list)
+    """One line per vertex, depth first from the root, children in canonical
+    order; iterative, so a tree of any depth renders."""
+    children: dict[str, list[str]] = defaultdict(list)
     for edge in _sorted_edges(tree):
-        children[edge.vertex].append((edge.letter, edge.vertex + (edge.letter,)))
+        children[edge.vertex].append(edge.vertex + edge.letter)
 
-    lines = [f"{EPSILON_TOKEN} (root)" + (" (terminal)" if tree.terminal == () else "")]
-
-    def walk(vertex: Word, depth: int) -> None:
-        for letter, child in children[vertex]:
-            mark = " (terminal)" if child == tree.terminal else ""
-            lines.append("  " * depth + f"{letter_to_char(letter)} {_vertex_label(child)}{mark}")
-            walk(child, depth + 1)
-
-    walk((), 1)
+    lines = [f"{EPSILON_TOKEN} (root)" + (" (terminal)" if tree.terminal == "" else "")]
+    stack = [(child, 1) for child in reversed(children[""])]
+    while stack:
+        vertex, depth = stack.pop()
+        mark = " (terminal)" if vertex == tree.terminal else ""
+        lines.append("  " * depth + f"{vertex[-1]} {vertex}{mark}")
+        stack.extend((child, depth + 1) for child in reversed(children[vertex]))
     return "\n".join(lines) + "\n"

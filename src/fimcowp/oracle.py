@@ -13,21 +13,19 @@ from itertools import islice, product
 from typing import Callable, Iterable, Iterator
 
 from .cfg import Grammar, cyk_member
-from .words import MarkedWord, Word, alphabet, format_word, symbol_sort_key
+from .words import MarkedWord, alphabet, symbol_sort_key
 
 EXAMPLE_CAP = 100
 _CHUNK = 4096
 
-_MARK = None  # marker slot in the mixed sequences of enumerate_marked
 
-
-def enumerate_words(rank: int, max_len: int) -> Iterator[Word]:
+def enumerate_words(rank: int, max_len: int) -> Iterator[str]:
     """Every word of length <= max_len, once, in length-then-lex order."""
     if max_len < 0:
         raise ValueError("length bound must be nonnegative")
     letters = alphabet(rank)
     for length in range(max_len + 1):
-        yield from product(letters, repeat=length)
+        yield from map("".join, product(letters, repeat=length))
 
 
 def enumerate_marked(rank: int, max_len: int) -> Iterator[MarkedWord]:
@@ -37,21 +35,18 @@ def enumerate_marked(rank: int, max_len: int) -> Iterator[MarkedWord]:
         raise ValueError("length bound must be nonnegative")
     letters = alphabet(rank)
 
-    def emit(remaining: int, marker_used: bool) -> Iterator[tuple]:
-        if remaining == 0:
-            yield () if marker_used else (_MARK,)
-            return
-        for letter in letters:
-            for tail in emit(remaining - 1, marker_used):
-                yield (letter,) + tail
-        if not marker_used:
-            for tail in emit(remaining, True):
-                yield (_MARK,) + tail
+    def split(total: int) -> Iterator[tuple[str, str]]:
+        # (u, t) with |u| + |t| = total, in the order of the text u#t
+        if total:
+            for letter in letters:
+                for left, right in split(total - 1):
+                    yield letter + left, right
+        for right in product(letters, repeat=total):
+            yield "", "".join(right)
 
     for total in range(max_len + 1):
-        for seq in emit(total, False):
-            cut = seq.index(_MARK)
-            yield MarkedWord(seq[:cut], seq[cut + 1 :])
+        for left, right in split(total):
+            yield MarkedWord(left, right)
 
 
 @dataclass
@@ -80,10 +75,6 @@ class CrosscheckReport:
         }
 
 
-def _serialize(item: Word | MarkedWord) -> str:
-    return str(item) if isinstance(item, MarkedWord) else format_word(item)
-
-
 def _check_block(
     grammar: Grammar, predicate: Callable, items: Iterable
 ) -> tuple[int, int, int, int, list[str], list[str]]:
@@ -91,7 +82,7 @@ def _check_block(
     false_accepts: list[str] = []
     false_rejects: list[str] = []
     for item in items:
-        text = _serialize(item)
+        text = str(item)
         accepted = cyk_member(grammar, text)
         expected = bool(predicate(item))
         total += 1

@@ -1,9 +1,11 @@
 """Alphabets with formal inverses, words, free reduction, and marked words.
 
 Generators are the lowercase letters a, b, c, ...; the matching uppercase
-letter is the formal inverse.  A marked word serializes as ``u#t`` with
-exactly one ``#``.  The empty word prints as ``""``; where output formats
-need a visible token it is rendered as ``1``.
+letter is the formal inverse, so inverting a letter is ``str.swapcase``.  A
+word is a plain ``str`` over these letters, checked by ``parse_word``.  A
+marked word serializes as ``u#t`` with exactly one ``#``.  The empty word
+prints as ``""``; where output formats need a visible token it is rendered
+as ``1``.
 """
 
 from __future__ import annotations
@@ -21,83 +23,59 @@ class WordSyntaxError(ValueError):
     """Text that is not a valid word or marked word at the given rank."""
 
 
-@dataclass(frozen=True, order=True)
-class Letter:
-    generator: int
-    inverted: bool = False
-
-    def __repr__(self) -> str:
-        if 0 <= self.generator < MAX_RANK:
-            return f"Letter({letter_to_char(self)!r})"
-        return f"Letter(generator={self.generator}, inverted={self.inverted})"
-
-
-Word = tuple[Letter, ...]
-
-
-def invert_letter(letter: Letter) -> Letter:
-    return Letter(letter.generator, not letter.inverted)
-
-
-def alphabet(rank: int) -> tuple[Letter, ...]:
+def alphabet(rank: int) -> str:
     """All 2*rank letters in canonical order a, A, b, B, ..."""
     if not 1 <= rank <= MAX_RANK:
         raise ValueError(f"rank must be between 1 and {MAX_RANK}, got {rank}")
-    return tuple(Letter(g, inv) for g in range(rank) for inv in (False, True))
+    return "".join(g + g.upper() for g in ascii_lowercase[:rank])
 
 
-def letter_to_char(letter: Letter) -> str:
-    char = ascii_lowercase[letter.generator]
-    return char.upper() if letter.inverted else char
+def parse_letter(text: str, rank: int) -> str:
+    """Check that text is one letter at this rank and return it."""
+    if len(text) != 1 or not text.isascii() or not text.isalpha():
+        raise WordSyntaxError(f"not a generator letter: {text!r}")
+    if ord(text.lower()) - ord("a") >= rank:
+        raise WordSyntaxError(f"generator {text!r} out of range for rank {rank}")
+    return text
 
 
-def char_to_letter(char: str, rank: int) -> Letter:
-    if len(char) != 1 or not char.isascii() or not char.isalpha():
-        raise WordSyntaxError(f"not a generator letter: {char!r}")
-    generator = ord(char.lower()) - ord("a")
-    if generator >= rank:
-        raise WordSyntaxError(f"generator {char!r} out of range for rank {rank}")
-    return Letter(generator, char.isupper())
-
-
-def parse_word(text: str, rank: int) -> Word:
+def parse_word(text: str, rank: int) -> str:
+    """Check that text is a word at this rank and return it."""
     if MARKER in text:
         raise WordSyntaxError(f"unexpected {MARKER!r} in word {text!r}")
-    return tuple(char_to_letter(char, rank) for char in text)
+    for char in dict.fromkeys(text):  # distinct letters, in order of first use
+        parse_letter(char, rank)
+    return text
 
 
-def format_word(word: Word) -> str:
-    return "".join(letter_to_char(letter) for letter in word)
-
-
-def free_reduce(word: Word) -> Word:
+def free_reduce(word: str) -> str:
     """The unique reduced form: delete adjacent letter/inverse pairs until none remain."""
-    out: list[Letter] = []
+    out: list[str] = []
     for letter in word:
-        if out and out[-1] == invert_letter(letter):
+        if out and out[-1] == letter.swapcase():
             out.pop()
         else:
             out.append(letter)
-    return tuple(out)
+    return "".join(out)
 
 
-def rev_invert(word: Word) -> Word:
+def rev_invert(word: str) -> str:
     """Reverse the word and invert every letter; the formal inverse in the free group."""
-    return tuple(invert_letter(letter) for letter in reversed(word))
+    return word[::-1].swapcase()
 
 
 @dataclass(frozen=True)
 class MarkedWord:
-    left: Word
-    right: Word
+    left: str
+    right: str
 
-    def pair(self) -> tuple[Word, Word]:
+    def pair(self) -> tuple[str, str]:
         """The two words compared by this marked word; the second is the
         reverse-inverse of the right part."""
         return self.left, rev_invert(self.right)
 
     def __str__(self) -> str:
-        return format_word(self.left) + MARKER + format_word(self.right)
+        return self.left + MARKER + self.right
 
 
 def parse_marked(text: str, rank: int) -> MarkedWord:
@@ -105,10 +83,6 @@ def parse_marked(text: str, rank: int) -> MarkedWord:
         raise WordSyntaxError(f"expected exactly one {MARKER!r} in {text!r}")
     left, right = text.split(MARKER)
     return MarkedWord(parse_word(left, rank), parse_word(right, rank))
-
-
-def format_marked(marked: MarkedWord) -> str:
-    return str(marked)
 
 
 def _symbol_index(char: str) -> int:

@@ -149,8 +149,8 @@ def test_criterion_5_munn_product_law():
     rng = random.Random(20260809)
     letters = alphabet(2)
     for _ in range(10000):
-        u = tuple(rng.choice(letters) for _ in range(rng.randint(0, 8)))
-        v = tuple(rng.choice(letters) for _ in range(rng.randint(0, 8)))
+        u = "".join(rng.choice(letters) for _ in range(rng.randint(0, 8)))
+        v = "".join(rng.choice(letters) for _ in range(rng.randint(0, 8)))
         if munn_product(build_munn(u), build_munn(v)) != build_munn(u + v):
             ok = False
             break

@@ -8,7 +8,6 @@ from fimcowp import (
     GrammarError,
     Production,
     avoiding_grammar,
-    char_to_letter,
     cowp_fg_grammar,
     cowp_fim_grammar,
     cyk_member,
@@ -101,8 +100,8 @@ def test_cyk_agrees_with_enumeration_on_all_grammars():
     grammars = [
         E1,
         idempotent_grammar(2),
-        avoiding_grammar(1, char_to_letter("a", 1)),
-        avoiding_grammar(2, char_to_letter("B", 2)),
+        avoiding_grammar(1, "a"),
+        avoiding_grammar(2, "B"),
         K1,
         k2_grammar(1),
         cowp_fg_grammar(1),
@@ -157,16 +156,16 @@ def test_enumerate_language_examples():
     assert enumerate_language(E1, 2) == {"", "aA", "Aa"}
     assert enumerate_language(E1, 0) == {""}
     assert enumerate_language(tiny([("S", "a")]), 0) == set()
-    za = avoiding_grammar(1, char_to_letter("a", 1))
+    za = avoiding_grammar(1, "a")
     assert enumerate_language(za, 2) == {"", "Aa"}
 
 
 def test_enumerate_language_matches_oracle():
     got = enumerate_language(idempotent_grammar(2), 4)
     expected = {
-        "".join(w)
+        w
         for w in all_strings("aAbB", 4)
-        if free_reduce(parse_word(w, 2)) == ()
+        if free_reduce(parse_word(w, 2)) == ""
     }
     assert got == expected
 
@@ -282,7 +281,7 @@ def test_grammar_stats_examples():
     assert grammar_stats(idempotent_grammar(1)) == (1, 4)
     assert grammar_stats(idempotent_grammar(2)) == (1, 6)
     for k in (1, 2, 3):
-        g = avoiding_grammar(k, char_to_letter("a", k))
+        g = avoiding_grammar(k, "a")
         assert grammar_stats(g) == (2 * k, 2 * k * (2 * k + 1))
     assert grammar_stats(K1) == (8, 20)
 

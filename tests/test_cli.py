@@ -1,7 +1,9 @@
 import json
+import os
 
 import pytest
 
+from fimcowp import oracle
 from fimcowp.cli import main
 
 
@@ -140,6 +142,11 @@ def test_enumerate_hard_cap(capsys, monkeypatch):
     assert code == 2 and "hard cap" in err
     code, out, _ = run(capsys, "enumerate", "--rank", "1", "--which", "E", "--max-len", "3")
     assert code == 0
+    for bad in ("x", "-1"):
+        monkeypatch.setenv("FIMCOWP_MAXLEN_HARD", bad)
+        code, out, err = run(capsys, "enumerate", "--rank", "1", "--which", "E", "--max-len", "2")
+        assert code == 2 and out == ""
+        assert err == f"error: FIMCOWP_MAXLEN_HARD must be a nonnegative integer, got {bad!r}\n"
 
 
 # --- crosscheck
@@ -178,6 +185,48 @@ def test_crosscheck_jobs(capsys):
     assert code == 0 and json.loads(out)["universe"] == 63
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+def test_crosscheck_jobs_rejects_nonpositive(capsys, jobs):
+    code, out, err = run(
+        capsys, "crosscheck", "--rank", "1", "--which", "E", "--max-len", "2", "--jobs", jobs
+    )
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1].startswith("fimcowp crosscheck: error: argument --jobs:")
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps in
+    this process, so no worker is ever started."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable):
+        return map(fn, iterable)
+
+
+def test_crosscheck_jobs_clamped_to_cpu_count(capsys, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(oracle, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    for jobs, workers in (("2", 2), ("3", 3), ("1000000", 3)):
+        code, out, _ = run(
+            capsys, "crosscheck", "--rank", "1", "--which", "E", "--max-len", "5",
+            "--jobs", jobs,
+        )
+        assert code == 0 and json.loads(out)["universe"] == 63
+        assert RecordingPool.sizes[-1] == workers
+    assert len(RecordingPool.sizes) == 3
+
+
 # --- munn
 
 
@@ -198,6 +247,16 @@ def test_munn_ascii(capsys):
     code, out, _ = run(capsys, "munn", "--rank", "2", "ab", "--format", "ascii")
     assert code == 0
     assert out == "1 (root)\n  a a\n    b ab (terminal)\n"
+
+
+def test_munn_ascii_deep_tree(capsys):
+    # one line per vertex, however deep the tree
+    word = "ab" * 750
+    code, out, _ = run(capsys, "munn", "--rank", "2", word, "--format", "ascii")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 1501
+    assert lines[-1] == "  " * 1500 + f"b {word} (terminal)"
 
 
 def test_munn_bad_word(capsys):

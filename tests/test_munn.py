@@ -12,7 +12,6 @@ from fimcowp import (
     in_cowp,
     in_k1,
     is_idempotent,
-    munn_equal,
     munn_product,
     parse_marked,
     parse_word,
@@ -28,14 +27,16 @@ def W(text, rank=2):
     return parse_word(text, rank)
 
 
-words2 = st.lists(st.sampled_from(alphabet(2)), max_size=8).map(tuple)
+words2 = st.text(alphabet=alphabet(2), max_size=8)
 
 
 def test_build_munn_examples():
-    a = W("a")[0]
-    assert build_munn(()) == MunnTree(frozenset(), ())
-    assert build_munn(W("aA")) == MunnTree(frozenset({Edge((), a)}), ())
-    assert build_munn(W("aAa")) == MunnTree(frozenset({Edge((), a)}), W("a"))
+    assert build_munn("") == MunnTree(frozenset(), "")
+    assert build_munn(W("aA")) == MunnTree(frozenset({Edge("", "a")}), "")
+    assert build_munn(W("aAa")) == MunnTree(frozenset({Edge("", "a")}), W("a"))
+    assert build_munn(W("abBA")) == MunnTree(frozenset({Edge("", "a"), Edge("a", "b")}), "")
+    # reading back towards the root keys the edge by the near endpoint
+    assert build_munn(W("AabB")).edges == frozenset({Edge("", "A"), Edge("", "b")})
 
 
 def test_build_munn_edge_count_bounded_by_length():
@@ -47,21 +48,20 @@ def test_edges_are_keyed_by_near_endpoint():
     # reading an inverse letter from the root gives the root-keyed edge
     # in the inverse direction, distinct from the positive-direction edge
     t = build_munn(W("Aa"))
-    A = W("A")[0]
-    assert t.edges == frozenset({Edge((), A)})
+    assert t.edges == frozenset({Edge("", "A")})
     assert build_munn(W("Aa")) != build_munn(W("aA"))
 
 
-def test_munn_equal_examples():
-    assert munn_equal(build_munn(W("aAa")), build_munn(W("a")))
-    assert not munn_equal(build_munn(W("aA")), build_munn(()))
-    assert not munn_equal(build_munn(W("ab")), build_munn(W("ba")))
+def test_munn_tree_equality_examples():
+    assert build_munn(W("aAa")) == build_munn(W("a"))
+    assert build_munn(W("aA")) != build_munn("")
+    assert build_munn(W("ab")) != build_munn(W("ba"))
 
 
 def test_munn_product_examples():
     for text in ["", "a", "ab", "aBa"]:
         t = build_munn(W(text))
-        assert munn_product(build_munn(()), t) == t
+        assert munn_product(build_munn(""), t) == t
     assert munn_product(build_munn(W("a")), build_munn(W("A"))) == build_munn(W("aA"))
     assert munn_product(build_munn(W("aA")), build_munn(W("bB"))) == build_munn(W("aAbB"))
 
@@ -79,8 +79,14 @@ def test_munn_product_soundness(u, v):
     assert munn_product(build_munn(u), build_munn(v)) == build_munn(u + v)
 
 
+@given(words2, words2, words2)
+def test_munn_product_associative(u, v, w):
+    s, t, r = build_munn(u), build_munn(v), build_munn(w)
+    assert munn_product(munn_product(s, t), r) == munn_product(s, munn_product(t, r))
+
+
 def test_is_idempotent_examples():
-    assert is_idempotent(())
+    assert is_idempotent("")
     assert is_idempotent(W("aA"))
     assert not is_idempotent(W("a"))
 
@@ -92,11 +98,10 @@ def test_idempotent_characterization():
 
 
 def test_avoids_examples():
-    a = W("a")[0]
-    assert avoids((), a)
-    assert avoids(W("bB"), a)
-    assert not avoids(W("aA"), a)
-    assert avoids(W("Aa"), a)  # only the inverse-direction edge is present
+    assert avoids("", "a")
+    assert avoids(W("bB"), "a")
+    assert not avoids(W("aA"), "a")
+    assert avoids(W("Aa"), "a")  # only the inverse-direction edge is present
 
 
 def test_avoids_symmetry_under_rev_invert():
@@ -110,13 +115,13 @@ def test_avoids_symmetry_under_rev_invert():
 
 def test_fim_equal_examples():
     assert fim_equal(W("aAa"), W("a"))
-    assert not fim_equal(W("aA"), ())
+    assert not fim_equal(W("aA"), "")
     assert fim_equal(W("ab"), W("ab"))
 
 
 def test_in_k1_examples():
-    assert in_k1(W("aA"), ())
-    assert not in_k1((), W("aA"))
+    assert in_k1(W("aA"), "")
+    assert not in_k1("", W("aA"))
     assert not in_k1(W("a"), W("b"))
 
 
@@ -145,12 +150,12 @@ def test_cowp_decomposition(rank, max_len):
 def test_tree_vertices_sorted():
     t = build_munn(W("abA"))
     labels = tree_vertices(t)
-    assert labels[0] == ()
-    assert labels == sorted(labels, key=lambda v: (len(v), v))
+    assert labels == ["", "a", "ab", "abA"]
+    assert tree_vertices(build_munn(W("bBBbAaaA"))) == ["", "a", "A", "b", "B"]
 
 
 def test_render_dot_empty():
-    assert render_dot(build_munn(())) == (
+    assert render_dot(build_munn("")) == (
         'graph munn {\n  "1" [shape=doublecircle, style=filled];\n}\n'
     )
 
@@ -181,4 +186,7 @@ def test_render_ascii():
     assert render_ascii(build_munn(W("ab"))) == (
         "1 (root)\n  a a\n    b ab (terminal)\n"
     )
-    assert render_ascii(build_munn(())) == "1 (root) (terminal)\n"
+    assert render_ascii(build_munn("")) == "1 (root) (terminal)\n"
+    assert render_ascii(build_munn(W("bBBbAaaAa"))) == (
+        "1 (root)\n  a a (terminal)\n  A A\n  b b\n  B B\n"
+    )

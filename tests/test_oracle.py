@@ -10,7 +10,6 @@ from fimcowp import (
     crosscheck,
     enumerate_marked,
     enumerate_words,
-    format_word,
     idempotent_grammar,
     is_idempotent,
     parse_word,
@@ -18,8 +17,7 @@ from fimcowp import (
 
 
 def test_enumerate_words_small():
-    got = [format_word(w) for w in enumerate_words(1, 1)]
-    assert got == ["", "a", "A"]
+    assert list(enumerate_words(1, 1)) == ["", "a", "A"]
 
 
 def test_enumerate_words_counts():
@@ -31,7 +29,7 @@ def test_enumerate_words_counts():
 
 
 def test_enumerate_words_order_and_uniqueness():
-    seen = [format_word(w) for w in enumerate_words(2, 3)]
+    seen = list(enumerate_words(2, 3))
     assert len(seen) == len(set(seen))
     lengths = [len(s) for s in seen]
     assert lengths == sorted(lengths)
@@ -41,6 +39,9 @@ def test_enumerate_words_order_and_uniqueness():
 def test_enumerate_marked_small():
     assert [str(m) for m in enumerate_marked(1, 0)] == ["#"]
     assert [str(m) for m in enumerate_marked(1, 1)] == ["#", "a#", "A#", "#a", "#A"]
+    assert [str(m) for m in enumerate_marked(1, 2)][5:] == [
+        "aa#", "aA#", "a#a", "a#A", "Aa#", "AA#", "A#a", "A#A", "#aa", "#aA", "#Aa", "#AA"
+    ]
 
 
 def test_enumerate_marked_counts():

@@ -2,21 +2,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fimcowp import (
-    Letter,
     MarkedWord,
     WordSyntaxError,
     alphabet,
-    char_to_letter,
-    format_marked,
-    format_word,
     free_reduce,
-    invert_letter,
     parse_marked,
     parse_word,
     rev_invert,
     symbol_sort_key,
 )
-from fimcowp.oracle import enumerate_words
+from fimcowp.oracle import enumerate_marked, enumerate_words
+from fimcowp.words import parse_letter
 
 
 def W(text, rank=2):
@@ -28,32 +24,34 @@ def naive_reduce(word):
     word = list(word)
     while True:
         for i in range(len(word) - 1):
-            if word[i] == invert_letter(word[i + 1]):
+            if word[i] == word[i + 1].swapcase():
                 del word[i : i + 2]
                 break
         else:
-            return tuple(word)
+            return "".join(word)
 
 
-letters2 = st.sampled_from(alphabet(2))
-words2 = st.lists(letters2, max_size=12).map(tuple)
+words2 = st.text(alphabet=alphabet(2), max_size=12)
 
 
 def test_invert_letter():
-    a, A, b, B = W("a"), W("A"), W("b"), W("B")
-    assert invert_letter(a[0]) == A[0]
-    assert invert_letter(A[0]) == a[0]
-    assert invert_letter(b[0]) == B[0]
+    assert rev_invert("a") == "A"
+    assert rev_invert("A") == "a"
+    assert rev_invert("b") == "B"
 
 
 def test_invert_letter_is_involution():
-    for letter in alphabet(3):
-        assert invert_letter(invert_letter(letter)) == letter
+    letters = alphabet(3)
+    for letter in letters:
+        inverse = rev_invert(letter)
+        assert inverse != letter and inverse in letters
+        assert rev_invert(inverse) == letter
 
 
 def test_alphabet_size_and_order():
     assert len(alphabet(2)) == 4
-    assert [format_word((l,)) for l in alphabet(2)] == ["a", "A", "b", "B"]
+    assert list(alphabet(2)) == ["a", "A", "b", "B"]
+    assert alphabet(26)[-2:] == "zZ"
     with pytest.raises(ValueError):
         alphabet(0)
     with pytest.raises(ValueError):
@@ -61,8 +59,8 @@ def test_alphabet_size_and_order():
 
 
 def test_free_reduce_examples():
-    assert free_reduce(W("aA")) == ()
-    assert free_reduce(W("abBA")) == ()
+    assert free_reduce(W("aA")) == ""
+    assert free_reduce(W("abBA")) == ""
     assert free_reduce(W("aBba")) == W("aa")
     assert free_reduce(W("aBba")) == naive_reduce(W("aBba"))
 
@@ -80,11 +78,11 @@ def test_free_reduce_idempotent_up_to_length_8():
 
 def test_word_times_inverse_is_trivial():
     for w in enumerate_words(2, 8):
-        assert free_reduce(w + rev_invert(w)) == ()
+        assert free_reduce(w + rev_invert(w)) == ""
 
 
 def test_rev_invert_examples():
-    assert rev_invert(()) == ()
+    assert rev_invert("") == ""
     assert rev_invert(W("ab")) == W("BA")
     assert rev_invert(W("aA")) == W("aA")
 
@@ -100,24 +98,30 @@ def test_rev_invert_antihomomorphism(u, v):
 
 
 def test_parse_word_examples():
-    assert parse_word("aA", 1) == (Letter(0, False), Letter(0, True))
-    assert parse_word("bB", 2) == (Letter(1, False), Letter(1, True))
-    with pytest.raises(WordSyntaxError):
+    assert parse_word("aA", 1) == "aA"
+    assert parse_word("bB", 2) == "bB"
+    assert parse_word("", 1) == ""
+    with pytest.raises(WordSyntaxError, match="generator 'c' out of range for rank 2"):
         parse_word("c", 2)
-    with pytest.raises(WordSyntaxError):
-        parse_word("a#", 2)
-    with pytest.raises(WordSyntaxError):
+    with pytest.raises(WordSyntaxError, match="unexpected '#' in word 'c#'"):
+        parse_word("c#", 2)
+    with pytest.raises(WordSyntaxError, match="not a generator letter: ' '"):
         parse_word("a b", 2)
+    # the first offending letter of the text is the one reported
+    with pytest.raises(WordSyntaxError, match="'1'"):
+        parse_word("ab1cb1", 2)
 
 
 def test_parse_format_round_trip():
     for w in enumerate_words(2, 5):
-        assert parse_word(format_word(w), 2) == w
+        assert parse_word(w, 2) == w
+    for m in enumerate_marked(2, 4):
+        assert parse_marked(str(m), 2) == m
 
 
 def test_parse_marked():
     m = parse_marked("aA#", 1)
-    assert (m.left, m.right) == (W("aA", 1), ())
+    assert (m.left, m.right) == (W("aA", 1), "")
     m = parse_marked("a#A", 1)
     assert m.pair() == (W("a", 1), W("a", 1))
     with pytest.raises(WordSyntaxError):
@@ -128,7 +132,7 @@ def test_parse_marked():
 
 def test_marked_round_trip():
     for text in ["#", "a#", "#A", "ab#BA"]:
-        assert format_marked(parse_marked(text, 2)) == text
+        assert str(parse_marked(text, 2)) == text
     assert str(MarkedWord(W("a"), W("B"))) == "a#B"
 
 
@@ -138,8 +142,10 @@ def test_symbol_sort_key_orders_length_then_canonical():
     assert ordered == ["", "a", "A", "b", "aA", "a#", "Aa", "#a"]
 
 
-def test_char_to_letter_rejects_junk():
-    with pytest.raises(WordSyntaxError):
-        char_to_letter("1", 2)
-    with pytest.raises(WordSyntaxError):
-        char_to_letter("aa", 2)
+def test_parse_letter_rejects_junk():
+    assert parse_letter("B", 2) == "B"
+    for junk in ("1", "aa", "", "#", "é"):
+        with pytest.raises(WordSyntaxError, match="not a generator letter"):
+            parse_letter(junk, 2)
+    with pytest.raises(WordSyntaxError, match="out of range"):
+        parse_letter("c", 2)

@@ -2,9 +2,11 @@
 
 Grammars are immutable; symbols are strings, with terminals restricted to
 single characters so that plain Python strings double as words.  Membership
-runs CYK over a memoized Chomsky-normal-form image; derivation trees come
-from a worklist chart on the untransformed grammar, so reported productions
-are always the caller's own.
+runs CYK over a memoized Chomsky-normal-form image, on a chart that grows
+one end column per pushed symbol and drops the last column on pop; words
+that share a prefix can share its columns, as crosscheck does.  Derivation
+trees come from a worklist chart on the untransformed grammar, so reported
+productions are always the caller's own.
 """
 
 from __future__ import annotations
@@ -16,6 +18,9 @@ from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .words import EPSILON_TOKEN
+
+# grammars whose CNF image and CYK tables stay cached
+_CACHE_SIZE = 32
 
 
 class GrammarError(ValueError):
@@ -111,7 +116,7 @@ def grammar_to_json(grammar: Grammar) -> str:
 # Chomsky normal form
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def to_cnf(grammar: Grammar) -> Grammar:
     """CNF image with a fresh non-recursive start; generates exactly the same
     language, keeping the empty word iff the original derives it.
@@ -257,16 +262,19 @@ class _CYKTables(NamedTuple):
     accepts_empty: bool
     start: int
     terminal_heads: dict[str, tuple[int, ...]]
-    binary: tuple[tuple[int, int, int], ...]
+    # left child B -> ((right child C, bitmask of the heads A of A -> B C), ...)
+    by_left: dict[int, tuple[tuple[int, int], ...]]
+    # left child B -> bitmask of its right children C
+    rights: dict[int, int]
     size: int
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _cyk_tables(grammar: Grammar) -> _CYKTables:
     cnf = to_cnf(grammar)
     ids = {nt: i for i, nt in enumerate(sorted(cnf.nonterminals))}
     terminal_heads: dict[str, list[int]] = {}
-    binary = []
+    pairs: dict[int, dict[int, int]] = {}
     accepts_empty = False
     for head, body in cnf.productions:
         if body == ():
@@ -274,53 +282,100 @@ def _cyk_tables(grammar: Grammar) -> _CYKTables:
         elif len(body) == 1:
             terminal_heads.setdefault(body[0], []).append(ids[head])
         else:
-            binary.append((ids[head], ids[body[0]], ids[body[1]]))
+            by_right = pairs.setdefault(ids[body[0]], {})
+            by_right[ids[body[1]]] = by_right.get(ids[body[1]], 0) | 1 << ids[head]
     return _CYKTables(
         accepts_empty,
         ids[cnf.start],
         {t: tuple(v) for t, v in terminal_heads.items()},
-        tuple(binary),
+        {b: tuple(cs.items()) for b, cs in pairs.items()},
+        {b: sum(1 << c for c in cs) for b, cs in pairs.items()},
         len(ids),
     )
 
 
-def _check_symbols(grammar: Grammar, symbols: tuple[str, ...]) -> None:
-    for s in symbols:
-        if s not in grammar.terminals:
-            raise GrammarError(f"symbol {s!r} is not a terminal of this grammar")
+class _Chart:
+    """CYK chart on the CNF image, grown and shrunk one end column at a time.
+
+    Row i maps each nonterminal A to the bitmask of end positions j with
+    A =>* w[i:j].  Pushing a symbol adds end column j and fills its cells
+    from start j-1 down to 0; a cell tries only the binary rules whose left
+    child is set somewhere in its row.  Each column keeps the (row,
+    nonterminal) entries it set, so pop() undoes exactly that column.
+    """
+
+    def __init__(self, grammar: Grammar) -> None:
+        self._terminals = grammar.terminals
+        self._tables = _cyk_tables(grammar)
+        self._rows: list[dict[int, int]] = []
+        self._undo: list[list[tuple[dict[int, int], int]]] = []
+
+    def push(self, symbol: str) -> None:
+        if symbol not in self._terminals:
+            raise GrammarError(f"symbol {symbol!r} is not a terminal of this grammar")
+        tables = self._tables
+        by_left, rights = tables.by_left, tables.rights
+        rows = self._rows
+        j = len(rows) + 1
+        jbit = 1 << j
+        heads = tables.terminal_heads.get(symbol, ())
+        rows.append(dict.fromkeys(heads, jbit))
+        # column[C]: bitmask of starts k > i with C =>* w[k:j]; present: those C
+        column = [0] * tables.size
+        present = 0
+        for a in heads:
+            column[a] = 1 << (j - 1)
+            present |= 1 << a
+        undo = []  # row j-1 is new and goes whole on pop
+        for i in range(j - 2, -1, -1):
+            row = rows[i]
+            found = 0
+            for b, ends in row.items():
+                if rights.get(b, 0) & present:
+                    for c, cell_heads in by_left[b]:
+                        if ends & column[c]:
+                            found |= cell_heads
+            if found:
+                ibit = 1 << i
+                present |= found
+                while found:
+                    low = found & -found
+                    found ^= low
+                    a = low.bit_length() - 1
+                    row[a] = row.get(a, 0) | jbit
+                    column[a] |= ibit
+                    undo.append((row, a))
+        self._undo.append(undo)
+
+    def __len__(self) -> int:
+        """The number of symbols pushed and not popped."""
+        return len(self._rows)
+
+    def pop(self) -> None:
+        jbit = 1 << len(self._rows)
+        self._rows.pop()
+        for row, a in self._undo.pop():
+            ends = row[a] ^ jbit
+            if ends:
+                row[a] = ends
+            else:
+                del row[a]
+
+    def accepts(self) -> bool:
+        """Whether the symbols pushed so far form a word of the language."""
+        n = len(self._rows)
+        if n == 0:
+            return self._tables.accepts_empty
+        return bool(self._rows[0].get(self._tables.start, 0) >> n & 1)
 
 
 def cyk_member(grammar: Grammar, word: Sequence[str]) -> bool:
-    """Membership via CYK on the CNF image.  Spans are tracked as bitmasks
-    over word positions, one pair of mask rows per nonterminal."""
-    symbols = tuple(word)
-    _check_symbols(grammar, symbols)
-    tables = _cyk_tables(grammar)
-    n = len(symbols)
-    if n == 0:
-        return tables.accepts_empty
-    # by_start[A][i]: bitmask of ends j with A =>* word[i..j]; by_end is the mirror
-    by_start = [[0] * n for _ in range(tables.size)]
-    by_end = [[0] * n for _ in range(tables.size)]
-    for i, s in enumerate(symbols):
-        bit = 1 << i
-        for a in tables.terminal_heads.get(s, ()):
-            by_start[a][i] |= bit
-            by_end[a][i] |= bit
-    binary = tables.binary
-    for span in range(2, n + 1):
-        for i in range(n - span + 1):
-            j = i + span - 1
-            jbit = 1 << j
-            ibit = 1 << i
-            for a, b, c in binary:
-                row = by_start[a]
-                if row[i] & jbit:
-                    continue
-                if by_start[b][i] & (by_end[c][j] >> 1):
-                    row[i] |= jbit
-                    by_end[a][j] |= ibit
-    return bool((by_start[tables.start][0] >> (n - 1)) & 1)
+    """Membership via CYK on the CNF image: a fresh chart with every symbol
+    pushed."""
+    chart = _Chart(grammar)
+    for symbol in word:
+        chart.push(symbol)
+    return chart.accepts()
 
 
 # ---------------------------------------------------------------------------
@@ -368,28 +423,39 @@ class DerivationTree:
     children: tuple[Union["DerivationTree", str], ...]
 
     def frontier(self) -> str:
-        return "".join(
-            child if isinstance(child, str) else child.frontier() for child in self.children
-        )
+        out: list[str] = []
+        stack: list[DerivationTree | str] = [self]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, str):
+                out.append(node)
+            else:
+                stack.extend(reversed(node.children))
+        return "".join(out)
 
     def productions(self) -> list[Production]:
         """Pre-order trace of the productions applied."""
-        out = [self.production]
-        for child in self.children:
-            if isinstance(child, DerivationTree):
-                out.extend(child.productions())
+        out = []
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            out.append(node.production)
+            stack.extend(c for c in reversed(node.children) if isinstance(c, DerivationTree))
         return out
 
 
 def format_tree(tree: DerivationTree, indent: int = 0) -> str:
-    pad = "  " * indent
-    body = " ".join(tree.production.body) if tree.production.body else EPSILON_TOKEN
-    lines = [f"{pad}{tree.root} -> {body}"]
-    for child in tree.children:
-        if isinstance(child, str):
-            lines.append("  " * (indent + 1) + child)
-        else:
-            lines.append(format_tree(child, indent + 1))
+    lines = []
+    stack: list[tuple[DerivationTree | str, int]] = [(tree, indent)]
+    while stack:
+        node, depth = stack.pop()
+        pad = "  " * depth
+        if isinstance(node, str):
+            lines.append(pad + node)
+            continue
+        body = " ".join(node.production.body) if node.production.body else EPSILON_TOKEN
+        lines.append(f"{pad}{node.root} -> {body}")
+        stack.extend((child, depth + 1) for child in reversed(node.children))
     return "\n".join(lines)
 
 
@@ -469,22 +535,36 @@ def derive(grammar: Grammar, word: Sequence[str]) -> DerivationTree | None:
     if (grammar.start, 0, n) not in nt_wit:
         return None
 
-    def build(sym: str, i: int, j: int) -> DerivationTree:
+    def expand(sym: str, i: int, j: int) -> list:
+        """A frame for the tree of sym over [i, j): its production, its
+        children still to build (terminals, or keys of nonterminal items),
+        and the children built so far."""
         prod = nt_wit[(sym, i, j)]
-        children: list[DerivationTree | str] = []
+        pending: list[str | tuple[str, int, int]] = []
         pos, sfx = i, prod.body
         while sfx:
             split = seq_wit[(sfx, pos, j)]
             assert split is not None
             first = sfx[0]
-            if first in grammar.terminals:
-                children.append(first)
-            else:
-                children.append(build(first, pos, split))
+            pending.append(first if first in grammar.terminals else (first, pos, split))
             pos, sfx = split, sfx[1:]
-        return DerivationTree(sym, prod, tuple(children))
+        return [prod, iter(pending), []]
 
-    return build(grammar.start, 0, n)
+    # depth-first with an explicit stack: trees can be as deep as the word is long
+    stack = [expand(grammar.start, 0, n)]
+    while True:
+        prod, pending, children = stack[-1]
+        child = next(pending, None)
+        if child is None:
+            stack.pop()
+            tree = DerivationTree(prod.head, prod, tuple(children))
+            if not stack:
+                return tree
+            stack[-1][2].append(tree)
+        elif isinstance(child, str):
+            children.append(child)
+        else:
+            stack.append(expand(*child))
 
 
 # ---------------------------------------------------------------------------

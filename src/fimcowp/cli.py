@@ -42,14 +42,14 @@ def _nonneg(text: str) -> int:
 
 
 def _jobs(text: str) -> int:
-    """A worker count of at least 1, clamped to the number of CPUs."""
+    """A worker count of at least 1; crosscheck lowers it to the CPU count."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     if value < 1:
         raise argparse.ArgumentTypeError("expected a positive integer")
-    return min(value, os.cpu_count() or 1)
+    return value
 
 
 def _hard_cap() -> int:

@@ -6,13 +6,15 @@ clean report is real evidence that a grammar matches its semantics.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import islice, product
 from typing import Callable, Iterable, Iterator
 
-from .cfg import Grammar, cyk_member
+from .cfg import Grammar, _Chart
+from .cfg import cyk_member  # noqa: F401  re-exported: membership of one word
 from .words import MarkedWord, alphabet, symbol_sort_key
 
 EXAMPLE_CAP = 100
@@ -78,29 +80,57 @@ class CrosscheckReport:
 def _check_block(
     grammar: Grammar, predicate: Callable, items: Iterable
 ) -> tuple[int, int, int, int, list[str], list[str]]:
+    """Check each item on one chart: pop back to the longest common prefix
+    with the previous item's text, then push the rest.  Neighbours in
+    length-then-lex order share most of their prefix; any order is correct."""
     total = agree = fa_count = fr_count = 0
     false_accepts: list[str] = []
     false_rejects: list[str] = []
+    chart = _Chart(grammar)
+    previous = ""
     for item in items:
         text = str(item)
-        accepted = cyk_member(grammar, text)
+        keep = len(os.path.commonprefix((previous, text)))
+        for _ in range(len(previous) - keep):
+            chart.pop()
+        for symbol in text[keep:]:
+            chart.push(symbol)
+        previous = text
+        accepted = chart.accepts()
         expected = bool(predicate(item))
         total += 1
         if accepted == expected:
             agree += 1
         elif accepted:
             fa_count += 1
-            if len(false_accepts) < EXAMPLE_CAP:
-                false_accepts.append(text)
+            false_accepts.append(text)
+            if len(false_accepts) == 2 * EXAMPLE_CAP:
+                false_accepts = _smallest(false_accepts)
         else:
             fr_count += 1
-            if len(false_rejects) < EXAMPLE_CAP:
-                false_rejects.append(text)
-    return total, agree, fa_count, fr_count, false_accepts, false_rejects
+            false_rejects.append(text)
+            if len(false_rejects) == 2 * EXAMPLE_CAP:
+                false_rejects = _smallest(false_rejects)
+    return total, agree, fa_count, fr_count, _smallest(false_accepts), _smallest(false_rejects)
 
 
-def _run_chunk(args: tuple) -> tuple:
-    return _check_block(*args)
+def _smallest(examples: list[str]) -> list[str]:
+    """The first EXAMPLE_CAP examples in canonical order, whatever order
+    they were found in."""
+    return sorted(examples, key=symbol_sort_key)[:EXAMPLE_CAP]
+
+
+# a worker process's grammar and predicate, set once by the pool initializer
+_worker_args: tuple = ()
+
+
+def _init_worker(grammar: Grammar, predicate: Callable) -> None:
+    global _worker_args
+    _worker_args = (grammar, predicate)
+
+
+def _run_chunk(chunk: list) -> tuple:
+    return _check_block(*_worker_args, chunk)
 
 
 def crosscheck(
@@ -114,10 +144,14 @@ def crosscheck(
     counterexamples at EXAMPLE_CAP per side.
 
     With jobs > 1 the universe is split into chunks evaluated in worker
-    processes; grammar and predicate must then be picklable.
+    processes, at most one per CPU; grammar and predicate must then be
+    picklable, and are sent once to each worker.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    jobs = min(jobs, os.cpu_count() or 1)
     started = time.perf_counter()
-    if jobs <= 1:
+    if jobs == 1:
         total, agree, fa_count, fr_count, fas, frs = _check_block(
             grammar, predicate, universe
         )
@@ -126,18 +160,18 @@ def crosscheck(
         chunks = iter(lambda: list(islice(it, _CHUNK)), [])
         total = agree = fa_count = fr_count = 0
         fas, frs = [], []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            args = ((grammar, predicate, chunk) for chunk in chunks)
-            for t, a, fac, frc, fa, fr in pool.map(_run_chunk, args):
+        with ProcessPoolExecutor(
+            max_workers=jobs, initializer=_init_worker, initargs=(grammar, predicate)
+        ) as pool:
+            for t, a, fac, frc, fa, fr in pool.map(_run_chunk, chunks):
                 total += t
                 agree += a
                 fa_count += fac
                 fr_count += frc
                 fas.extend(fa)
                 frs.extend(fr)
-    # per-chunk caps keep every earliest counterexample, so sort-and-trim
-    # reproduces the serial report exactly
-    fas = sorted(fas, key=symbol_sort_key)[:EXAMPLE_CAP]
-    frs = sorted(frs, key=symbol_sort_key)[:EXAMPLE_CAP]
+    # each chunk keeps its earliest counterexamples, so the earliest overall
+    # are among them
+    fas, frs = _smallest(fas), _smallest(frs)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     return CrosscheckReport(total, agree, fas, frs, fa_count, fr_count, elapsed_ms)

@@ -1,6 +1,7 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fimcowp import (
     DerivationTree,
@@ -23,11 +24,14 @@ from fimcowp import (
     insert_marker_grammar,
     k1_grammar,
     k2_grammar,
+    parse_marked,
     parse_word,
     reverse_invert_grammar,
     to_cnf,
     union_grammar,
 )
+from fimcowp.cfg import _Chart, _cyk_tables
+from fimcowp.cli import oracle_for, resolve_grammar
 
 E1 = idempotent_grammar(1)
 K1 = k1_grammar(1)
@@ -93,6 +97,66 @@ def test_cyk_member_rejects_foreign_symbols():
         cyk_member(E1, "b")
     with pytest.raises(GrammarError):
         cyk_member(E1, "a#")
+
+
+def test_chart_foreign_symbol_leaves_chart_usable():
+    chart = _Chart(E1)
+    chart.push("a")
+    for foreign in ("b", "#", "ab"):
+        with pytest.raises(GrammarError):
+            chart.push(foreign)
+        assert len(chart) == 1 and not chart.accepts()
+    chart.push("A")
+    assert len(chart) == 2 and chart.accepts()
+    chart.pop()
+    chart.pop()
+    assert len(chart) == 0 and chart.accepts()
+
+
+CHART_MAX_LEN = 7
+CHART_LANGUAGES = ("E", "Zx:a", "K1", "coWP-FIM")
+
+
+def rank1_route(which):
+    """The rank-1 grammar, its words up to CHART_MAX_LEN by enumeration, and
+    the Munn-tree decision on any text over its terminals."""
+    grammar = resolve_grammar(which, 1)
+    predicate, marked = oracle_for(which, 1)
+
+    def oracle(text):
+        if marked:
+            return text.count("#") == 1 and predicate(parse_marked(text, 1))
+        return predicate(text)
+
+    return grammar, enumerate_language(grammar, CHART_MAX_LEN), oracle
+
+
+CHART_ROUTES = {which: rank1_route(which) for which in CHART_LANGUAGES}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(CHART_LANGUAGES),
+    st.lists(st.one_of(st.none(), st.sampled_from("aA#")), max_size=40),
+)
+def test_chart_push_pop_matches_enumeration_and_oracle(which, steps):
+    # None pops; a letter pushes (pushes past the length bound are skipped)
+    grammar, language, oracle = CHART_ROUTES[which]
+    chart = _Chart(grammar)
+    word = ""
+    for step in steps:
+        if step is None:
+            if not word:
+                continue
+            chart.pop()
+            word = word[:-1]
+        elif step in grammar.terminals and len(word) < CHART_MAX_LEN:
+            chart.push(step)
+            word += step
+        else:
+            continue
+        assert len(chart) == len(word)
+        assert chart.accepts() == (word in language) == oracle(word), word
 
 
 def test_cyk_agrees_with_enumeration_on_all_grammars():
@@ -216,6 +280,37 @@ def test_derive_frontier_matches_membership():
 def test_format_tree():
     tree = derive(E1, "aA")
     assert format_tree(tree) == "E -> a E A\n  a\n  E -> 1\n  A"
+
+
+def test_deep_tree_walks():
+    # frontier, productions and format_tree walk a tree far deeper than the
+    # recursion limit
+    n = 5000
+    nest = Production("E", ("a", "E", "A"))
+    leaf = Production("E", ())
+    tree = DerivationTree("E", leaf, ())
+    for _ in range(n):
+        tree = DerivationTree("E", nest, ("a", tree, "A"))
+    assert tree.frontier() == "a" * n + "A" * n
+    assert tree.productions() == [nest] * n + [leaf]
+    lines = format_tree(tree, indent=1).splitlines()
+    assert len(lines) == 3 * n + 1
+    assert lines[0] == "  E -> a E A" and lines[1] == "    a"
+    assert lines[n * 2] == "  " * (n + 1) + "E -> 1"
+    assert lines[-1] == "    A"
+
+
+# --- caches
+
+
+def test_grammar_caches_are_bounded():
+    bound = to_cnf.cache_info().maxsize
+    assert bound is not None and _cyk_tables.cache_info().maxsize == bound
+    for k in range(1, bound + 10):
+        g = tiny([("S", "a" * k)])
+        assert cyk_member(g, "a" * k)
+        assert to_cnf.cache_info().currsize <= bound
+        assert _cyk_tables.cache_info().currsize <= bound
 
 
 # --- transformations

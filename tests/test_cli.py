@@ -3,7 +3,6 @@ import os
 
 import pytest
 
-from fimcowp import oracle
 from fimcowp.cli import main
 
 
@@ -113,6 +112,17 @@ def test_parse_tree(capsys):
     assert out == "accept\nE -> 1\n"
 
 
+def test_parse_tree_deep(capsys):
+    # the derivation is as deep as the word is long; no recursion limit applies
+    n = 1000
+    code, out, err = run(capsys, "parse", "--rank", "1", "--which", "E", "--tree",
+                         "a" * n + "A" * n)
+    assert code == 0 and err == ""
+    opening = [line for d in range(n) for line in ("  " * d + "E -> a E A", "  " * (d + 1) + "a")]
+    closing = ["  " * (d + 1) + "A" for d in reversed(range(n))]
+    assert out.splitlines() == ["accept", *opening, "  " * n + "E -> 1", *closing]
+
+
 def test_parse_bad_symbol(capsys):
     code, _, err = run(capsys, "parse", "--rank", "1", "--which", "E", "c")
     assert code == 2 and "error" in err
@@ -194,37 +204,16 @@ def test_crosscheck_jobs_rejects_nonpositive(capsys, jobs):
     assert err.splitlines()[-1].startswith("fimcowp crosscheck: error: argument --jobs:")
 
 
-class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and maps in
-    this process, so no worker is ever started."""
-
-    sizes = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, iterable):
-        return map(fn, iterable)
-
-
-def test_crosscheck_jobs_clamped_to_cpu_count(capsys, monkeypatch):
+def test_crosscheck_jobs_clamped_to_cpu_count(capsys, monkeypatch, recording_pool):
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    monkeypatch.setattr(oracle, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(RecordingPool, "sizes", [])
     for jobs, workers in (("2", 2), ("3", 3), ("1000000", 3)):
         code, out, _ = run(
             capsys, "crosscheck", "--rank", "1", "--which", "E", "--max-len", "5",
             "--jobs", jobs,
         )
         assert code == 0 and json.loads(out)["universe"] == 63
-        assert RecordingPool.sizes[-1] == workers
-    assert len(RecordingPool.sizes) == 3
+        assert recording_pool.sizes[-1] == workers
+    assert len(recording_pool.sizes) == 3
 
 
 # --- munn

@@ -1,4 +1,6 @@
 import json
+import os
+import random
 
 import pytest
 
@@ -7,10 +9,12 @@ from fimcowp import (
     MarkedWord,
     Production,
     alphabet,
+    cowp_fim_grammar,
     crosscheck,
     enumerate_marked,
     enumerate_words,
     idempotent_grammar,
+    in_cowp,
     is_idempotent,
     parse_word,
 )
@@ -141,6 +145,66 @@ def test_crosscheck_parallel_counterexamples_merge():
     )
     assert serial.false_rejects == parallel.false_rejects
     assert serial.false_reject_count == parallel.false_reject_count
+
+
+def report_fields(report):
+    blob = report.to_json_dict()
+    del blob["elapsed_ms"]
+    return blob
+
+
+@pytest.mark.parametrize(
+    "grammar, predicate, universe",
+    [
+        (idempotent_grammar(2), is_idempotent, lambda: enumerate_words(2, 5)),
+        (cowp_fim_grammar(1), in_cowp, lambda: enumerate_marked(1, 4)),
+        (corrupted_idempotent_grammar(), is_idempotent, lambda: enumerate_words(1, 5)),
+        # 255 counterexamples: the cap keeps the earliest in canonical order
+        (Grammar({"a", "A"}, {"S"}, [], "S"), always_true, lambda: enumerate_words(1, 7)),
+    ],
+)
+def test_crosscheck_order_independent(grammar, predicate, universe):
+    # the chart shares prefixes between neighbouring items; a shuffled
+    # universe shares few, and must give the same report, examples included
+    items = list(universe())
+    shuffled = items[:]
+    random.Random(0).shuffle(shuffled)
+    assert shuffled != items
+    expected = report_fields(crosscheck(grammar, predicate, items))
+    assert report_fields(crosscheck(grammar, predicate, shuffled)) == expected
+    assert report_fields(crosscheck(grammar, predicate, sorted(items, key=str))) == expected
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_crosscheck_rejects_nonpositive_jobs(jobs, recording_pool):
+    with pytest.raises(ValueError):
+        crosscheck(idempotent_grammar(1), is_idempotent, enumerate_words(1, 2), jobs=jobs)
+    assert recording_pool.sizes == []
+
+
+def test_crosscheck_jobs_clamped_and_grammar_sent_once(monkeypatch, recording_pool):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    grammar = idempotent_grammar(2)
+    serial = crosscheck(grammar, is_idempotent, enumerate_words(2, 6))
+    pooled = crosscheck(grammar, is_idempotent, enumerate_words(2, 6), jobs=1_000_000)
+    assert report_fields(pooled) == report_fields(serial)
+    assert recording_pool.sizes == [2]
+    # the grammar and predicate go to each worker once, through the
+    # initializer; the mapped arguments are bare chunks of the universe
+    assert recording_pool.initargs == [(grammar, is_idempotent)]
+    assert len(recording_pool.mapped) == 2  # 5,461 words in chunks of 4,096
+    assert all(
+        isinstance(chunk, list) and all(isinstance(w, str) for w in chunk)
+        for chunk in recording_pool.mapped
+    )
+    assert sum(map(len, recording_pool.mapped)) == serial.universe
+
+
+def test_crosscheck_one_cpu_runs_serially(monkeypatch, recording_pool):
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    report = crosscheck(idempotent_grammar(1), is_idempotent, enumerate_words(1, 4), jobs=4)
+    assert report.clean and report.universe == 31
+    assert recording_pool.sizes == []
 
 
 def test_enumeration_rejects_negative_bounds():

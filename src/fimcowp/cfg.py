@@ -2,24 +2,22 @@
 
 Grammars are immutable; symbols are strings, with terminals restricted to
 single characters so that plain Python strings double as words.  Membership
-runs CYK over a memoized Chomsky-normal-form image, on a chart that grows
-one end column per pushed symbol and drops the last column on pop; words
-that share a prefix can share its columns, as crosscheck does.  Derivation
-trees come from a worklist chart on the untransformed grammar, so reported
-productions are always the caller's own.
+and derivations share one chart over a binarised image of the grammar that
+keeps unit and epsilon rules (the 2NF of Lange and Leiss, "To CNF or not to
+CNF?", 2009); derivations are read out of it in the caller's own
+productions.  Chomsky normal form (`to_cnf`) is only an export format.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import Collection, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .words import EPSILON_TOKEN
 
-# grammars whose CNF image and CYK tables stay cached
+# grammars whose CNF image and chart tables stay cached
 _CACHE_SIZE = 32
 
 
@@ -116,15 +114,26 @@ def grammar_to_json(grammar: Grammar) -> str:
 # Chomsky normal form
 
 
+def _generating(productions: Collection[Production], known: set[str]) -> set[str]:
+    """`known` plus every head with a body made of symbols in the result."""
+    out, size = set(known), -1
+    while size != len(out):
+        size = len(out)
+        out.update(head for head, body in productions if all(s in out for s in body))
+    return out
+
+
 @lru_cache(maxsize=_CACHE_SIZE)
 def to_cnf(grammar: Grammar) -> Grammar:
     """CNF image with a fresh non-recursive start; generates exactly the same
-    language, keeping the empty word iff the original derives it.
+    language, keeping the empty word iff the original derives it.  Only an
+    export format: membership and derivations use the chart below.
 
     Pipeline: fresh start, terminal wrapping, binarization, nullable
     elimination, unit elimination, trim of unproductive/unreachable symbols.
     """
-    used = set(grammar.nonterminals) | set(grammar.terminals)
+    terminals = grammar.terminals
+    used = set(grammar.nonterminals) | set(terminals)
 
     def fresh(base: str) -> str:
         name, k = base, 1
@@ -135,114 +144,60 @@ def to_cnf(grammar: Grammar) -> Grammar:
         return name
 
     start = fresh(grammar.start + "'")
-    prods = [Production(start, (grammar.start,))] + list(grammar.productions)
+    prods = [Production(start, (grammar.start,)), *grammar.productions]
 
     # TERM: wrap terminals occurring in bodies of length >= 2
     wrappers: dict[str, str] = {}
-
-    def wrap(t: str) -> str:
-        if t not in wrappers:
-            wrappers[t] = fresh(f"[{t}]")
-        return wrappers[t]
-
-    termed = []
-    for head, body in prods:
-        if len(body) >= 2:
-            body = tuple(wrap(s) if s in grammar.terminals else s for s in body)
-        termed.append(Production(head, body))
-    termed.extend(Production(name, (t,)) for t, name in wrappers.items())
+    for _, body in prods:
+        for s in body if len(body) >= 2 else ():
+            if s in terminals and s not in wrappers:
+                wrappers[s] = fresh(f"[{s}]")
 
     # BIN: split bodies longer than two
-    binned = []
+    binned = [Production(name, (t,)) for t, name in wrappers.items()]
     counters: dict[str, int] = {}
-    for head, body in termed:
-        if len(body) <= 2:
-            binned.append(Production(head, body))
-            continue
+    for head, body in prods:
+        if len(body) >= 2:
+            body = tuple(wrappers.get(s, s) for s in body)
         current = head
-        rest = list(body)
-        while len(rest) > 2:
+        while len(body) > 2:
             counters[head] = counters.get(head, 0) + 1
             aux = fresh(f"{head}.{counters[head]}")
-            binned.append(Production(current, (rest[0], aux)))
-            current = aux
-            rest = rest[1:]
-        binned.append(Production(current, tuple(rest)))
+            binned.append(Production(current, (body[0], aux)))
+            current, body = aux, body[1:]
+        binned.append(Production(current, body))
 
     # DEL: drop nullable occurrences; keep epsilon only at the start
-    nullable: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for head, body in binned:
-            if head not in nullable and all(s in nullable for s in body):
-                nullable.add(head)
-                changed = True
-    deleted: set[Production] = set()
+    nullable = _generating(binned, set())
+    deleted = {Production(start, ())} if start in nullable else set()
     for head, body in binned:
         variants: set[tuple[str, ...]] = {()}
         for symbol in body:
             grown = {v + (symbol,) for v in variants}
             variants = grown | variants if symbol in nullable else grown
-        for v in variants:
-            if v:
-                deleted.add(Production(head, v))
-    if start in nullable:
-        deleted.add(Production(start, ()))
+        deleted.update(Production(head, v) for v in variants if v)
 
     # UNIT: close over single-nonterminal bodies, then drop them
-    def is_unit(p: Production) -> bool:
-        return len(p.body) == 1 and p.body[0] not in grammar.terminals
-
-    pairs = {(p.head, p.body[0]) for p in deleted if is_unit(p)}
-    changed = True
-    while changed:
-        changed = False
-        for a, b in list(pairs):
-            for b2, c in list(pairs):
-                if b2 == b and (a, c) not in pairs:
-                    pairs.add((a, c))
-                    changed = True
+    units = {p for p in deleted if len(p.body) == 1 and p.body[0] not in terminals}
+    unitless = deleted - units
+    pairs, longer = set(), {(p.head, p.body[0]) for p in units}
+    while longer:
+        pairs |= longer
+        longer = {(a, c) for a, b in pairs for b2, c in pairs if b2 == b} - pairs
     by_head: dict[str, list[Production]] = {}
-    for p in deleted:
-        if not is_unit(p):
-            by_head.setdefault(p.head, []).append(p)
-    unitless = {p for p in deleted if not is_unit(p)}
-    for a, b in pairs:
-        for p in by_head.get(b, []):
-            unitless.add(Production(a, p.body))
+    for p in unitless:
+        by_head.setdefault(p.head, []).append(p)
+    unitless |= {Production(a, p.body) for a, b in pairs for p in by_head.get(b, ())}
 
     # TRIM: productive then reachable
-    productive: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for head, body in unitless:
-            if head not in productive and all(
-                s in grammar.terminals or s in productive for s in body
-            ):
-                productive.add(head)
-                changed = True
-    trimmed = {
-        p
-        for p in unitless
-        if p.head in productive
-        and all(s in grammar.terminals or s in productive for s in p.body)
-    }
-    reachable = {start}
-    changed = True
-    while changed:
-        changed = False
-        for head, body in trimmed:
-            if head in reachable:
-                for s in body:
-                    if s not in grammar.terminals and s not in reachable:
-                        reachable.add(s)
-                        changed = True
+    productive = _generating(unitless, set(terminals))
+    trimmed = {p for p in unitless if all(s in productive for s in (p.head, *p.body))}
+    reachable, grown = set(), {start}
+    while grown != reachable:
+        reachable = grown
+        grown = reachable | {s for h, b in trimmed if h in reachable for s in b}
     final = {p for p in trimmed if p.head in reachable}
-    nts = {start} | {p.head for p in final}
-    for _, body in final:
-        nts.update(s for s in body if s not in grammar.terminals)
+    nts = {start} | {s for p in final for s in (p.head, *p.body) if s not in terminals}
 
     cnf = Grammar(grammar.terminals, frozenset(nts), tuple(final), start)
     for head, body in cnf.productions:
@@ -252,130 +207,6 @@ def to_cnf(grammar: Grammar) -> Grammar:
             or (body == () and head == start)
         ), f"not CNF: {head} -> {body}"
     return cnf
-
-
-# ---------------------------------------------------------------------------
-# CYK membership
-
-
-class _CYKTables(NamedTuple):
-    accepts_empty: bool
-    start: int
-    terminal_heads: dict[str, tuple[int, ...]]
-    # left child B -> ((right child C, bitmask of the heads A of A -> B C), ...)
-    by_left: dict[int, tuple[tuple[int, int], ...]]
-    # left child B -> bitmask of its right children C
-    rights: dict[int, int]
-    size: int
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _cyk_tables(grammar: Grammar) -> _CYKTables:
-    cnf = to_cnf(grammar)
-    ids = {nt: i for i, nt in enumerate(sorted(cnf.nonterminals))}
-    terminal_heads: dict[str, list[int]] = {}
-    pairs: dict[int, dict[int, int]] = {}
-    accepts_empty = False
-    for head, body in cnf.productions:
-        if body == ():
-            accepts_empty = True
-        elif len(body) == 1:
-            terminal_heads.setdefault(body[0], []).append(ids[head])
-        else:
-            by_right = pairs.setdefault(ids[body[0]], {})
-            by_right[ids[body[1]]] = by_right.get(ids[body[1]], 0) | 1 << ids[head]
-    return _CYKTables(
-        accepts_empty,
-        ids[cnf.start],
-        {t: tuple(v) for t, v in terminal_heads.items()},
-        {b: tuple(cs.items()) for b, cs in pairs.items()},
-        {b: sum(1 << c for c in cs) for b, cs in pairs.items()},
-        len(ids),
-    )
-
-
-class _Chart:
-    """CYK chart on the CNF image, grown and shrunk one end column at a time.
-
-    Row i maps each nonterminal A to the bitmask of end positions j with
-    A =>* w[i:j].  Pushing a symbol adds end column j and fills its cells
-    from start j-1 down to 0; a cell tries only the binary rules whose left
-    child is set somewhere in its row.  Each column keeps the (row,
-    nonterminal) entries it set, so pop() undoes exactly that column.
-    """
-
-    def __init__(self, grammar: Grammar) -> None:
-        self._terminals = grammar.terminals
-        self._tables = _cyk_tables(grammar)
-        self._rows: list[dict[int, int]] = []
-        self._undo: list[list[tuple[dict[int, int], int]]] = []
-
-    def push(self, symbol: str) -> None:
-        if symbol not in self._terminals:
-            raise GrammarError(f"symbol {symbol!r} is not a terminal of this grammar")
-        tables = self._tables
-        by_left, rights = tables.by_left, tables.rights
-        rows = self._rows
-        j = len(rows) + 1
-        jbit = 1 << j
-        heads = tables.terminal_heads.get(symbol, ())
-        rows.append(dict.fromkeys(heads, jbit))
-        # column[C]: bitmask of starts k > i with C =>* w[k:j]; present: those C
-        column = [0] * tables.size
-        present = 0
-        for a in heads:
-            column[a] = 1 << (j - 1)
-            present |= 1 << a
-        undo = []  # row j-1 is new and goes whole on pop
-        for i in range(j - 2, -1, -1):
-            row = rows[i]
-            found = 0
-            for b, ends in row.items():
-                if rights.get(b, 0) & present:
-                    for c, cell_heads in by_left[b]:
-                        if ends & column[c]:
-                            found |= cell_heads
-            if found:
-                ibit = 1 << i
-                present |= found
-                while found:
-                    low = found & -found
-                    found ^= low
-                    a = low.bit_length() - 1
-                    row[a] = row.get(a, 0) | jbit
-                    column[a] |= ibit
-                    undo.append((row, a))
-        self._undo.append(undo)
-
-    def __len__(self) -> int:
-        """The number of symbols pushed and not popped."""
-        return len(self._rows)
-
-    def pop(self) -> None:
-        jbit = 1 << len(self._rows)
-        self._rows.pop()
-        for row, a in self._undo.pop():
-            ends = row[a] ^ jbit
-            if ends:
-                row[a] = ends
-            else:
-                del row[a]
-
-    def accepts(self) -> bool:
-        """Whether the symbols pushed so far form a word of the language."""
-        n = len(self._rows)
-        if n == 0:
-            return self._tables.accepts_empty
-        return bool(self._rows[0].get(self._tables.start, 0) >> n & 1)
-
-
-def cyk_member(grammar: Grammar, word: Sequence[str]) -> bool:
-    """Membership via CYK on the CNF image: a fresh chart with every symbol
-    pushed."""
-    chart = _Chart(grammar)
-    for symbol in word:
-        chart.push(symbol)
-    return chart.accepts()
 
 
 # ---------------------------------------------------------------------------
@@ -416,11 +247,56 @@ def enumerate_language(grammar: Grammar, max_len: int) -> set[str]:
 # Derivation trees
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class DerivationTree:
+    """A node and its children, terminals as strings.  Every walk, equality,
+    hashing and repr included, uses an explicit stack, so depth is not
+    limited by the recursion limit."""
+
     root: str
     production: Production
     children: tuple[Union["DerivationTree", str], ...]
+
+    def _nodes(self) -> Iterator["DerivationTree"]:
+        """The nodes in pre-order."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(c for c in reversed(node.children) if isinstance(c, DerivationTree))
+
+    def _key(self) -> tuple:
+        # the nodes in pre-order, each with its children's shape, fix the tree
+        return tuple(
+            (n.root, n.production, tuple(None if isinstance(c, DerivationTree) else c
+                                         for c in n.children))
+            for n in self._nodes()
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DerivationTree):
+            return NotImplemented
+        return self is other or self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        # the text a generated dataclass repr would give
+        out: list[str] = []
+        stack: list[DerivationTree | str] = [self]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, str):
+                out.append(node)
+                continue
+            out.append(f"DerivationTree(root={node.root!r}, "
+                       f"production={node.production!r}, children=(")
+            parts = [c if isinstance(c, DerivationTree) else repr(c) for c in node.children]
+            stack.append(",))" if len(parts) == 1 else "))")
+            for idx in reversed(range(len(parts))):
+                stack.extend((parts[idx], ", ") if idx else (parts[idx],))
+        return "".join(out)
 
     def frontier(self) -> str:
         out: list[str] = []
@@ -435,13 +311,7 @@ class DerivationTree:
 
     def productions(self) -> list[Production]:
         """Pre-order trace of the productions applied."""
-        out = []
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            out.append(node.production)
-            stack.extend(c for c in reversed(node.children) if isinstance(c, DerivationTree))
-        return out
+        return [node.production for node in self._nodes()]
 
 
 def format_tree(tree: DerivationTree, indent: int = 0) -> str:
@@ -459,112 +329,236 @@ def format_tree(tree: DerivationTree, indent: int = 0) -> str:
     return "\n".join(lines)
 
 
+# ---------------------------------------------------------------------------
+# The chart: membership and derivations
+
+
+class _Rule(NamedTuple):
+    # a piece of the binarised grammar in symbol ids, and its source production
+    head: int
+    body: tuple[int, ...]
+    production: Production
+
+
+class _Tables(NamedTuple):
+    terminals: tuple[str, ...]  # ids 0.. name these, in sorted order
+    aux: int  # ids from here on are auxiliaries
+    start: int
+    seeds: dict[str, tuple[int, ...]]  # terminal t -> every A with A ~>* t
+    # right child C -> ((left child B, every A' ~>* A over the rules A -> B C), ...)
+    by_right: dict[int, tuple[tuple[int, tuple[int, ...]], ...]]
+    binary: dict[int, list[_Rule]]  # head -> its rules with two children
+    unit: dict[int, list[tuple[_Rule, int]]]  # head -> (rule, position it ~> to)
+    eps: dict[int, tuple[DerivationTree, ...]]  # nullable symbol -> its epsilon children
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _chart_tables(grammar: Grammar) -> _Tables:
+    """Binarise the caller's productions, keeping unit and epsilon rules: a
+    body longer than two becomes a right-branching run through fresh
+    auxiliaries.  A ~> B when A -> B, or A -> B C or A -> C B with C
+    nullable.  Rule lists keep production order."""
+    terminals = tuple(sorted(grammar.terminals))
+    ids = {s: i for i, s in enumerate(terminals + tuple(sorted(grammar.nonterminals)))}
+    size = aux = len(ids)
+    rules: list[_Rule] = []
+    for production in grammar.productions:
+        head, body = ids[production.head], [ids[s] for s in production.body]
+        while len(body) > 2:
+            rules.append(_Rule(head, (body[0], size), production))
+            head, body, size = size, body[1:], size + 1
+        rules.append(_Rule(head, tuple(body), production))
+
+    # each nullable symbol's fixed epsilon tree; an auxiliary's run of them
+    eps: dict[int, tuple[DerivationTree, ...]] = {}
+    changed = True
+    while changed:
+        changed = False
+        for rule in rules:
+            if rule.head not in eps and all(s in eps for s in rule.body):
+                kids = tuple(tree for s in rule.body for tree in eps[s])
+                if rule.head < aux:
+                    kids = (DerivationTree(rule.production.head, rule.production, kids),)
+                eps[rule.head] = kids
+                changed = True
+
+    binary: dict[int, list[_Rule]] = {}
+    unit: dict[int, list[tuple[_Rule, int]]] = {}
+    for rule in rules:
+        if len(rule.body) == 2:
+            binary.setdefault(rule.head, []).append(rule)
+        for pos, _ in enumerate(rule.body):
+            if len(rule.body) == 1 or rule.body[1 - pos] in eps:
+                unit.setdefault(rule.head, []).append((rule, pos))
+    up = [{s} for s in range(size)]  # up[X]: every A with A ~>* X
+    changed = True
+    while changed:
+        changed = False
+        for head, steps in unit.items():
+            for rule, pos in steps:
+                if not up[head] <= up[rule.body[pos]]:
+                    up[rule.body[pos]] |= up[head]
+                    changed = True
+    by_right: dict[int, dict[int, set[int]]] = {}
+    for rule in rules:
+        if len(rule.body) == 2:
+            by_right.setdefault(rule.body[1], {}).setdefault(rule.body[0], set()).update(
+                up[rule.head]
+            )
+    seeds = {t: tuple(sorted(up[ids[t]])) for t in terminals}
+    pairs = {c: tuple((b, tuple(sorted(a))) for b, a in bs.items()) for c, bs in by_right.items()}
+    return _Tables(terminals, aux, ids[grammar.start], seeds, pairs, binary, unit, eps)
+
+
+class _Chart:
+    """A chart over the binarised grammar, grown one end column per pushed
+    symbol and shrunk by dropping the last, so words that share a prefix can
+    share its columns.  Column j maps each symbol A to the bitmask of starts
+    i < j with A =>* w[i:j]; empty spans are left to the nullable set.
+
+    A push seeds the new column at start j-1, then visits the starts with
+    new entries from the highest down: each symbol C new on [k, j) combines
+    with the finished column k through the rules A -> B C.  Starts only go
+    down, so every cell is final before it is read; the work follows the
+    cells that are set."""
+
+    def __init__(self, grammar: Grammar) -> None:
+        self._tables = _chart_tables(grammar)
+        self._cols: list[dict[int, int]] = [{}]
+
+    def push(self, symbol: str) -> None:
+        seeds = self._tables.seeds.get(symbol)
+        if seeds is None:
+            raise GrammarError(f"symbol {symbol!r} is not a terminal of this grammar")
+        by_right, cols = self._tables.by_right, self._cols
+        first = len(cols) - 1
+        col = dict.fromkeys(seeds, 1 << first)
+        # start k -> the symbols set on [k, j) and not yet combined
+        found = {first: list(seeds)}
+        pending = 1 << first
+        while pending:
+            k = pending.bit_length() - 1
+            pending ^= 1 << k
+            left = cols[k]
+            for c in found.pop(k):
+                for b, heads in by_right.get(c, ()):
+                    starts = left.get(b)
+                    if starts:
+                        for a in heads:
+                            old = col.get(a, 0)
+                            new = starts & ~old
+                            if new:
+                                col[a] = old | new
+                                pending |= new
+                                while new:
+                                    low = new & -new
+                                    new ^= low
+                                    found.setdefault(low.bit_length() - 1, []).append(a)
+        cols.append(col)
+
+    def __len__(self) -> int:
+        """The number of symbols pushed and not popped."""
+        return len(self._cols) - 1
+
+    def pop(self) -> None:
+        self._cols.pop()
+
+    def accepts(self) -> bool:
+        """Whether the symbols pushed so far form a word of the language."""
+        tables, n = self._tables, len(self._cols) - 1
+        if n == 0:
+            return tables.start in tables.eps
+        return bool(self._cols[n].get(tables.start, 0) & 1)
+
+    def tree(self) -> DerivationTree | None:
+        """One derivation of the symbols pushed so far, in the caller's own
+        productions, or None when they are not a word of the language."""
+        tables, n = self._tables, len(self._cols) - 1
+        if not self.accepts():
+            return None
+        if n == 0:
+            return tables.eps[tables.start][0]
+        # frames (production, or None for an auxiliary, items left, children
+        # so far), kept on a stack since trees are as deep as words are long
+        top: list[DerivationTree | str] = []
+        stack = [(None, iter([(tables.start, 0, n)]), top)]
+        while stack:
+            production, items, children = stack[-1]
+            item = next(items, None)
+            if isinstance(item, tuple):
+                rule, parts = self._step(*item)
+                stack.append((rule.production if item[0] < tables.aux else None, iter(parts), []))
+            elif item is not None:
+                children.append(item)
+            else:
+                stack.pop()
+                if stack:  # an auxiliary's children join its parent's
+                    stack[-1][2].extend(children if production is None else [
+                        DerivationTree(production.head, production, tuple(children))
+                    ])
+        return top[0]
+
+    def _step(self, x: int, i: int, j: int) -> tuple[_Rule, list]:
+        """The rule that opens x's derivation of w[i:j], and its children:
+        terminals, epsilon trees and spans still to expand.  Follows the
+        shortest unit chain to a symbol set by a terminal or by a binary
+        split, takes the lowest split, and breaks ties by production order."""
+        tables, cols, cell = self._tables, self._cols, self._cols[j]
+        seen = {x}
+        # (symbol, first step of the chain from x to it)
+        queue: list[tuple[int, tuple[_Rule, int] | None]] = [(x, None)]
+        for y, first in queue:  # breadth first, so the chain is shortest
+            split = None
+            for rule in tables.binary.get(y, ()):
+                b, c = rule.body
+                ks = cell.get(c, 0) >> (i + 1) << (i + 1)
+                while ks:
+                    k = (ks & -ks).bit_length() - 1
+                    if cols[k].get(b, 0) >> i & 1:
+                        if split is None or k < split[0]:
+                            split = (k, rule)
+                        break
+                    ks &= ks - 1
+            if split or y < len(tables.terminals):
+                break
+            for rule, pos in tables.unit.get(y, ()):
+                z = rule.body[pos]
+                if z not in seen and cell.get(z, 0) >> i & 1:
+                    seen.add(z)
+                    queue.append((z, first or (rule, pos)))
+        else:
+            raise AssertionError("a chart cell is set without a derivation")
+        if first is None:
+            k, rule = split
+            return rule, [self._item(rule.body[0], i, k), self._item(rule.body[1], k, j)]
+        rule, pos = first
+        child = [self._item(rule.body[pos], i, j)]
+        nullable = list(tables.eps[rule.body[1 - pos]]) if len(rule.body) == 2 else []
+        return rule, child + nullable if pos == 0 else nullable + child
+
+    def _item(self, symbol: int, i: int, j: int) -> str | tuple[int, int, int]:
+        names = self._tables.terminals
+        return names[symbol] if symbol < len(names) else (symbol, i, j)
+
+
+def cyk_member(grammar: Grammar, word: Sequence[str]) -> bool:
+    """Membership: a fresh chart with every symbol pushed."""
+    chart = _Chart(grammar)
+    for symbol in word:
+        chart.push(symbol)
+    return chart.accepts()
+
+
 def derive(grammar: Grammar, word: Sequence[str]) -> DerivationTree | None:
-    """One derivation tree for the word in the grammar's own productions, or
-    None when the word is not generated (including symbols off the alphabet).
-
-    Runs a worklist chart directly on the untransformed grammar: items state
-    that a symbol, or a production-body suffix, derives a given span.  The
-    witness recorded when an item first becomes true refers only to items
-    derived strictly earlier, so tree extraction terminates.
-    """
-    symbols = tuple(word)
-    if any(s not in grammar.terminals for s in symbols):
-        return None
-    n = len(symbols)
-
-    by_full_body: dict[tuple[str, ...], list[str]] = {}
-    suffixes: set[tuple[str, ...]] = set()
-    for head, body in grammar.productions:
-        by_full_body.setdefault(body, []).append(head)
-        for k in range(len(body) + 1):
-            suffixes.add(body[k:])
-    by_first: dict[str, list[tuple[str, ...]]] = {}
-    by_rest: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
-    for sfx in sorted(suffixes):
-        if sfx:
-            by_first.setdefault(sfx[0], []).append(sfx)
-            by_rest.setdefault(sfx[1:], []).append(sfx)
-
-    one_by_end: dict[tuple[str, int], list[int]] = {}
-    seq_by_start: dict[tuple[tuple[str, ...], int], list[int]] = {}
-    one_seen: set[tuple[str, int, int]] = set()
-    seq_wit: dict[tuple[tuple[str, ...], int, int], int | None] = {}
-    nt_wit: dict[tuple[str, int, int], Production] = {}
-    queue: deque[tuple] = deque()
-
-    def add_one(sym: str, i: int, j: int) -> None:
-        if (sym, i, j) in one_seen:
-            return
-        one_seen.add((sym, i, j))
-        one_by_end.setdefault((sym, j), []).append(i)
-        queue.append(("one", sym, i, j))
-
-    def add_seq(sfx: tuple[str, ...], i: int, j: int, split: int | None) -> None:
-        if (sfx, i, j) in seq_wit:
-            return
-        seq_wit[(sfx, i, j)] = split
-        seq_by_start.setdefault((sfx, i), []).append(j)
-        queue.append(("seq", sfx, i, j))
-
-    def add_nt(head: str, i: int, j: int, prod: Production) -> None:
-        if (head, i, j) not in nt_wit:
-            nt_wit[(head, i, j)] = prod
-        add_one(head, i, j)
-
-    for i in range(n + 1):
-        add_seq((), i, i, None)
-    for i, s in enumerate(symbols):
-        add_one(s, i, i + 1)
-
-    while queue:
-        item = queue.popleft()
-        if item[0] == "one":
-            _, sym, i, k = item
-            for sfx in by_first.get(sym, ()):
-                for j in list(seq_by_start.get((sfx[1:], k), ())):
-                    add_seq(sfx, i, j, k)
-        else:
-            _, sfx0, k, j = item
-            for head in by_full_body.get(sfx0, ()):
-                add_nt(head, k, j, Production(head, sfx0))
-            for sfx in by_rest.get(sfx0, ()):
-                for i in list(one_by_end.get((sfx[0], k), ())):
-                    add_seq(sfx, i, j, k)
-
-    if (grammar.start, 0, n) not in nt_wit:
-        return None
-
-    def expand(sym: str, i: int, j: int) -> list:
-        """A frame for the tree of sym over [i, j): its production, its
-        children still to build (terminals, or keys of nonterminal items),
-        and the children built so far."""
-        prod = nt_wit[(sym, i, j)]
-        pending: list[str | tuple[str, int, int]] = []
-        pos, sfx = i, prod.body
-        while sfx:
-            split = seq_wit[(sfx, pos, j)]
-            assert split is not None
-            first = sfx[0]
-            pending.append(first if first in grammar.terminals else (first, pos, split))
-            pos, sfx = split, sfx[1:]
-        return [prod, iter(pending), []]
-
-    # depth-first with an explicit stack: trees can be as deep as the word is long
-    stack = [expand(grammar.start, 0, n)]
-    while True:
-        prod, pending, children = stack[-1]
-        child = next(pending, None)
-        if child is None:
-            stack.pop()
-            tree = DerivationTree(prod.head, prod, tuple(children))
-            if not stack:
-                return tree
-            stack[-1][2].append(tree)
-        elif isinstance(child, str):
-            children.append(child)
-        else:
-            stack.append(expand(*child))
+    """One derivation tree for the word in the grammar's own productions,
+    read out of the membership chart, or None when the word is not
+    generated (including symbols off the alphabet)."""
+    chart = _Chart(grammar)
+    for symbol in word:
+        if symbol not in grammar.terminals:
+            return None
+        chart.push(symbol)
+    return chart.tree()
 
 
 # ---------------------------------------------------------------------------

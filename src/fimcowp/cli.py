@@ -91,10 +91,6 @@ def resolve_grammar(which: str, rank: int) -> cfg.Grammar:
 
 # semantic deciders matching each grammar; module-level so crosscheck workers
 # can pickle them
-def _pred_idempotent(item: str) -> bool:
-    return munn.is_idempotent(item)
-
-
 def _pred_avoiding(letter: str, item: str) -> bool:
     return munn.is_idempotent(item) and munn.avoids(item, letter)
 
@@ -109,10 +105,6 @@ def _pred_k2(item: words.MarkedWord) -> bool:
     return munn.in_k1(v, u)
 
 
-def _pred_cowp(item: words.MarkedWord) -> bool:
-    return munn.in_cowp(item)
-
-
 def _pred_fg_nontrivial(item: words.MarkedWord) -> bool:
     return words.free_reduce(item.left + item.right) != ""
 
@@ -121,7 +113,7 @@ def oracle_for(which: str, rank: int) -> tuple[Callable, bool]:
     """Predicate matching a grammar name, plus whether its universe is
     marked words (True) or plain words (False)."""
     if which == "E":
-        return _pred_idempotent, False
+        return munn.is_idempotent, False
     if which.startswith("Zx:"):
         letter = words.parse_letter(which[3:], rank)
         return partial(_pred_avoiding, letter), False
@@ -132,7 +124,7 @@ def oracle_for(which: str, rank: int) -> tuple[Callable, bool]:
     if which == "coWP-FG":
         return _pred_fg_nontrivial, True
     if which == "coWP-FIM":
-        return _pred_cowp, True
+        return munn.in_cowp, True
     raise ValueError(f"unknown grammar {which!r}; choices: {GRAMMAR_CHOICES}")
 
 
@@ -167,11 +159,15 @@ def _cmd_grammar(args: argparse.Namespace) -> int:
 
 def _cmd_parse(args: argparse.Namespace) -> int:
     grammar = resolve_grammar(args.which, args.rank)
-    accepted = cfg.cyk_member(grammar, args.word)
-    print("accept" if accepted else "reject")
-    if accepted and args.tree:
+    tree = None
+    if args.tree and set(args.word) <= grammar.terminals:
+        # one parse: derive returns None exactly when the word is rejected
         tree = cfg.derive(grammar, args.word)
-        assert tree is not None
+        accepted = tree is not None
+    else:
+        accepted = cfg.cyk_member(grammar, args.word)  # raises on a foreign symbol
+    print("accept" if accepted else "reject")
+    if tree is not None:
         print(cfg.format_tree(tree))
     return 0 if accepted else 1
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import os
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import islice, product
@@ -133,14 +134,34 @@ def _run_chunk(chunk: list) -> tuple:
     return _check_block(*_worker_args, chunk)
 
 
+def _pooled_blocks(
+    grammar: Grammar, predicate: Callable, universe: Iterable, jobs: int
+) -> Iterator[tuple]:
+    """The results of the universe's chunks, in chunk order, from worker
+    processes; at most two chunks per worker are in flight, so memory
+    follows jobs, not the size of the universe."""
+    it = iter(universe)
+    chunks = iter(lambda: list(islice(it, _CHUNK)), [])
+    with ProcessPoolExecutor(
+        max_workers=jobs, initializer=_init_worker, initargs=(grammar, predicate)
+    ) as pool:
+        in_flight: deque = deque()
+        for chunk in chunks:
+            in_flight.append(pool.submit(_run_chunk, chunk))
+            if len(in_flight) == 2 * jobs:
+                yield in_flight.popleft().result()
+        while in_flight:
+            yield in_flight.popleft().result()
+
+
 def crosscheck(
     grammar: Grammar,
     predicate: Callable,
     universe: Iterable,
     jobs: int = 1,
 ) -> CrosscheckReport:
-    """Run the grammar (via CYK) and the semantic predicate over every item
-    of the universe and report all disagreements, capping stored
+    """Run the grammar (via its chart) and the semantic predicate over every
+    item of the universe and report all disagreements, capping stored
     counterexamples at EXAMPLE_CAP per side.
 
     With jobs > 1 the universe is split into chunks evaluated in worker
@@ -152,26 +173,15 @@ def crosscheck(
     jobs = min(jobs, os.cpu_count() or 1)
     started = time.perf_counter()
     if jobs == 1:
-        total, agree, fa_count, fr_count, fas, frs = _check_block(
-            grammar, predicate, universe
-        )
+        blocks: Iterable[tuple] = [_check_block(grammar, predicate, universe)]
     else:
-        it = iter(universe)
-        chunks = iter(lambda: list(islice(it, _CHUNK)), [])
-        total = agree = fa_count = fr_count = 0
-        fas, frs = [], []
-        with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_worker, initargs=(grammar, predicate)
-        ) as pool:
-            for t, a, fac, frc, fa, fr in pool.map(_run_chunk, chunks):
-                total += t
-                agree += a
-                fa_count += fac
-                fr_count += frc
-                fas.extend(fa)
-                frs.extend(fr)
-    # each chunk keeps its earliest counterexamples, so the earliest overall
-    # are among them
-    fas, frs = _smallest(fas), _smallest(frs)
+        blocks = _pooled_blocks(grammar, predicate, universe, jobs)
+    counts, fas, frs = [0, 0, 0, 0], [], []
+    for *block_counts, fa, fr in blocks:
+        counts = [x + y for x, y in zip(counts, block_counts)]
+        # each block keeps its earliest counterexamples, so the earliest
+        # overall are among them
+        fas, frs = _smallest(fas + fa), _smallest(frs + fr)
+    total, agree, fa_count, fr_count = counts
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     return CrosscheckReport(total, agree, fas, frs, fa_count, fr_count, elapsed_ms)

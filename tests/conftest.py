@@ -3,10 +3,21 @@ import pytest
 from fimcowp import oracle
 
 
+class LazyFuture:
+    """A future whose call runs, in this process, when its result is read."""
+
+    def __init__(self, fn, arg):
+        self._fn, self._arg = fn, arg
+
+    def result(self):
+        return self._fn(self._arg)
+
+
 class RecordingPool:
     """Stands in for ProcessPoolExecutor: records max_workers, the
-    initializer arguments and every argument mapped, and runs all of it in
-    this process, so no worker is ever started."""
+    initializer arguments and every argument submitted, and runs all of it
+    in this process, each call when its result is read, so no worker is
+    ever started."""
 
     def __init__(self, max_workers, initializer, initargs):
         self.sizes.append(max_workers)
@@ -19,16 +30,15 @@ class RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, iterable):
-        for arg in iterable:
-            self.mapped.append(arg)
-            yield fn(arg)
+    def submit(self, fn, arg):
+        self.submitted.append(arg)
+        return LazyFuture(fn, arg)
 
 
 @pytest.fixture
 def recording_pool(monkeypatch):
     monkeypatch.setattr(oracle, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(oracle, "_worker_args", ())
-    for name in ("sizes", "initargs", "mapped"):
+    for name in ("sizes", "initargs", "submitted"):
         monkeypatch.setattr(RecordingPool, name, [], raising=False)
     return RecordingPool

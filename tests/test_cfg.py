@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,7 +34,7 @@ from fimcowp import (
     to_cnf,
     union_grammar,
 )
-from fimcowp.cfg import _Chart, _cyk_tables
+from fimcowp.cfg import _Chart, _chart_tables
 from fimcowp.cli import oracle_for, resolve_grammar
 
 E1 = idempotent_grammar(1)
@@ -46,6 +50,46 @@ def all_strings(alphabet, max_len):
     for length in range(max_len + 1):
         for combo in product(sorted(alphabet), repeat=length):
             yield "".join(combo)
+
+
+@st.composite
+def small_grammars(draw, terminals="ab"):
+    """Up to 4 nonterminals, bodies of length 0-3, maybe a unit cycle;
+    unproductive and unreachable symbols come up on their own."""
+    nts = "STUV"[: draw(st.integers(1, 4))]
+    symbol = st.sampled_from(nts + terminals)
+    prods = draw(
+        st.lists(
+            st.tuples(st.sampled_from(nts), st.lists(symbol, max_size=3).map(tuple)),
+            max_size=10,
+        )
+    )
+    if draw(st.booleans()):
+        prods += [(a, (b,)) for a, b in zip(nts, nts[1:] + nts[0])]
+    return Grammar(set(terminals), set(nts), [Production(h, b) for h, b in prods], "S")
+
+
+def is_derivation(tree, grammar, word):
+    """Whether tree derives word from the start, every node applying one of
+    the grammar's own productions to children that match its body."""
+    if tree.root != grammar.start or tree.frontier() != word:
+        return False
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        prod = node.production
+        if prod not in grammar.productions or node.root != prod.head:
+            return False
+        if len(node.children) != len(prod.body):
+            return False
+        for child, symbol in zip(node.children, prod.body):
+            if isinstance(child, DerivationTree):
+                if child.root != symbol:
+                    return False
+                stack.append(child)
+            elif child != symbol or symbol not in grammar.terminals:
+                return False
+    return True
 
 
 # --- Grammar construction and validation
@@ -177,6 +221,43 @@ def test_cyk_agrees_with_enumeration_on_all_grammars():
         assert got == expected
 
 
+@settings(max_examples=200, deadline=None)
+@given(small_grammars())
+def test_chart_and_derive_match_enumeration_on_random_grammars(grammar):
+    language = enumerate_language(grammar, 5)
+    for word in all_strings("ab", 5):
+        member = cyk_member(grammar, word)
+        assert member == (word in language), word
+        tree = derive(grammar, word)
+        assert (tree is not None) == member, word
+        assert tree is None or is_derivation(tree, grammar, word), word
+
+
+def test_derive_trees_are_derivations_on_all_grammars():
+    for g in [idempotent_grammar(2), avoiding_grammar(1, "A"), K1, k2_grammar(1),
+              cowp_fg_grammar(1), cowp_fim_grammar(1)]:
+        for w in enumerate_language(g, 5):
+            assert is_derivation(derive(g, w), g, w), w
+
+
+def test_parse_tree_independent_of_hash_seed():
+    # coWP-FG derives this word in infinitely many ways (E -> E E | 1)
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    outputs = []
+    for seed in ("0", "1"):
+        env["PYTHONHASHSEED"] = seed
+        done = subprocess.run(
+            [sys.executable, "-m", "fimcowp.cli", "parse", "--rank", "1",
+             "--which", "coWP-FG", "--tree", "aAa#aA"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0 and done.stderr == ""
+        outputs.append(done.stdout)
+    assert outputs[0].startswith("accept\n") and outputs[0] == outputs[1]
+
+
 # --- CNF conversion
 
 
@@ -282,6 +363,39 @@ def test_format_tree():
     assert format_tree(tree) == "E -> a E A\n  a\n  E -> 1\n  A"
 
 
+def deep_tree(n, leaf_body=()):
+    nest = Production("E", ("a", "E", "A"))
+    tree = DerivationTree("E", Production("E", leaf_body), ())
+    for _ in range(n):
+        tree = DerivationTree("E", nest, ("a", tree, "A"))
+    return tree
+
+
+def test_deep_tree_equality_hash_and_repr():
+    # two separately built 5,000-deep trees: no shared nodes to shortcut on
+    a, b = deep_tree(5000), deep_tree(5000)
+    assert a is not b and a == b and not a != b
+    assert hash(a) == hash(b)
+    assert repr(a) == repr(b)
+    assert a != deep_tree(5000, leaf_body=("E", "E"))
+    assert a != deep_tree(4999) and a != "aA"
+    assert len({a, b, deep_tree(4999)}) == 2
+    assert repr(a).count("DerivationTree(") == 5001
+
+
+def test_tree_repr_matches_dataclass_format():
+    leaf = DerivationTree("E", Production("E", ()), ())
+    assert repr(leaf) == "DerivationTree(root='E', production=Production(head='E', body=()), children=())"
+    one = DerivationTree("S", Production("S", ("a",)), ("a",))
+    assert repr(one) == (
+        "DerivationTree(root='S', production=Production(head='S', body=('a',)), children=('a',))"
+    )
+    assert repr(deep_tree(1)) == (
+        "DerivationTree(root='E', production=Production(head='E', body=('a', 'E', 'A')), "
+        "children=('a', " + repr(leaf) + ", 'A'))"
+    )
+
+
 def test_deep_tree_walks():
     # frontier, productions and format_tree walk a tree far deeper than the
     # recursion limit
@@ -305,12 +419,13 @@ def test_deep_tree_walks():
 
 def test_grammar_caches_are_bounded():
     bound = to_cnf.cache_info().maxsize
-    assert bound is not None and _cyk_tables.cache_info().maxsize == bound
+    assert bound is not None and _chart_tables.cache_info().maxsize == bound
     for k in range(1, bound + 10):
         g = tiny([("S", "a" * k)])
         assert cyk_member(g, "a" * k)
+        assert enumerate_language(to_cnf(g), k) == {"a" * k}
         assert to_cnf.cache_info().currsize <= bound
-        assert _cyk_tables.cache_info().currsize <= bound
+        assert _chart_tables.cache_info().currsize <= bound
 
 
 # --- transformations
@@ -356,6 +471,24 @@ def test_insert_marker_soundness():
         for cut in range(len(w) + 1):
             split = w[:cut] + "#" + w[cut:]
             assert cyk_member(marked, split) == cyk_member(E1, w)
+
+
+INVOLUTION = {"a": "A", "A": "a"}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(st.sampled_from([E1, avoiding_grammar(1, "a"), avoiding_grammar(1, "A")]),
+                 small_grammars(terminals="aA")))
+def test_reverse_invert_commutes_with_marker_insertion(grammar):
+    # the marker is fixed by the involution
+    marked_then_flipped = reverse_invert_grammar(
+        insert_marker_grammar(grammar, "#"), {**INVOLUTION, "#": "#"}
+    )
+    flipped_then_marked = insert_marker_grammar(reverse_invert_grammar(grammar, INVOLUTION), "#")
+    language = enumerate_language(marked_then_flipped, 6)
+    assert language == enumerate_language(flipped_then_marked, 6)
+    marked = enumerate_language(insert_marker_grammar(grammar, "#"), 6)
+    assert language == {w[::-1].swapcase() for w in marked}
 
 
 def test_insert_marker_collision():

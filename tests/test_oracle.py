@@ -18,6 +18,7 @@ from fimcowp import (
     is_idempotent,
     parse_word,
 )
+from fimcowp import oracle
 
 
 def test_enumerate_words_small():
@@ -190,14 +191,39 @@ def test_crosscheck_jobs_clamped_and_grammar_sent_once(monkeypatch, recording_po
     assert report_fields(pooled) == report_fields(serial)
     assert recording_pool.sizes == [2]
     # the grammar and predicate go to each worker once, through the
-    # initializer; the mapped arguments are bare chunks of the universe
+    # initializer; the submitted arguments are bare chunks of the universe
     assert recording_pool.initargs == [(grammar, is_idempotent)]
-    assert len(recording_pool.mapped) == 2  # 5,461 words in chunks of 4,096
+    assert len(recording_pool.submitted) == 2  # 5,461 words in chunks of 4,096
     assert all(
         isinstance(chunk, list) and all(isinstance(w, str) for w in chunk)
-        for chunk in recording_pool.mapped
+        for chunk in recording_pool.submitted
     )
-    assert sum(map(len, recording_pool.mapped)) == serial.universe
+    assert sum(map(len, recording_pool.submitted)) == serial.universe
+
+
+def test_crosscheck_streams_chunks(monkeypatch, recording_pool):
+    # at most two chunks per worker are in flight, so the universe is pulled
+    # only a little ahead of the results read
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    jobs = 2
+    pulled = 0
+    pulled_at_first_read = []
+
+    def universe():
+        nonlocal pulled
+        for word in enumerate_words(2, 7):
+            pulled += 1
+            yield word
+
+    def predicate(word):
+        if not pulled_at_first_read:
+            pulled_at_first_read.append(pulled)
+        return is_idempotent(word)
+
+    report = crosscheck(idempotent_grammar(2), predicate, universe(), jobs=jobs)
+    assert report.clean and report.universe == pulled == 21_845
+    assert len(recording_pool.submitted) == 6
+    assert pulled_at_first_read[0] <= (2 * jobs + 1) * oracle._CHUNK
 
 
 def test_crosscheck_one_cpu_runs_serially(monkeypatch, recording_pool):

@@ -10,15 +10,14 @@ import argparse
 import json
 import os
 import sys
-from functools import partial
-from typing import Callable, Iterable
+from typing import Callable
 
 from . import cfg, fim_grammars, munn, oracle, words
 
 HARD_CAP_ENV = "FIMCOWP_MAXLEN_HARD"
 HARD_CAP_DEFAULT = 14
 
-GRAMMAR_CHOICES = "E, Zx:<letter>, K1, K2, coWP-FG, coWP-FIM"
+GRAMMAR_CHOICES = ", ".join(fim_grammars.LANGUAGES)
 
 
 def _rank(text: str) -> int:
@@ -71,77 +70,29 @@ def _check_cap(max_len: int) -> None:
 
 
 def resolve_grammar(which: str, rank: int) -> cfg.Grammar:
-    if which == "E":
-        return fim_grammars.idempotent_grammar(rank)
-    if which.startswith("Zx:"):
-        tail = which[3:]
-        if len(tail) != 1:
-            raise ValueError(f"expected Zx:<letter>, got {which!r}")
-        return fim_grammars.avoiding_grammar(rank, words.parse_letter(tail, rank))
-    if which == "K1":
-        return fim_grammars.k1_grammar(rank)
-    if which == "K2":
-        return fim_grammars.k2_grammar(rank)
-    if which == "coWP-FG":
-        return fim_grammars.cowp_fg_grammar(rank)
-    if which == "coWP-FIM":
-        return fim_grammars.cowp_fim_grammar(rank)
-    raise ValueError(f"unknown grammar {which!r}; choices: {GRAMMAR_CHOICES}")
-
-
-# semantic deciders matching each grammar; module-level so crosscheck workers
-# can pickle them
-def _pred_avoiding(letter: str, item: str) -> bool:
-    return munn.is_idempotent(item) and munn.avoids(item, letter)
-
-
-def _pred_k1(item: words.MarkedWord) -> bool:
-    u, v = item.pair()
-    return munn.in_k1(u, v)
-
-
-def _pred_k2(item: words.MarkedWord) -> bool:
-    u, v = item.pair()
-    return munn.in_k1(v, u)
-
-
-def _pred_fg_nontrivial(item: words.MarkedWord) -> bool:
-    return words.free_reduce(item.left + item.right) != ""
+    return fim_grammars.language(which, rank).grammar()
 
 
 def oracle_for(which: str, rank: int) -> tuple[Callable, bool]:
-    """Predicate matching a grammar name, plus whether its universe is
+    """Munn-tree oracle of a language name, plus whether its universe is
     marked words (True) or plain words (False)."""
-    if which == "E":
-        return munn.is_idempotent, False
-    if which.startswith("Zx:"):
-        letter = words.parse_letter(which[3:], rank)
-        return partial(_pred_avoiding, letter), False
-    if which == "K1":
-        return _pred_k1, True
-    if which == "K2":
-        return _pred_k2, True
-    if which == "coWP-FG":
-        return _pred_fg_nontrivial, True
-    if which == "coWP-FIM":
-        return munn.in_cowp, True
-    raise ValueError(f"unknown grammar {which!r}; choices: {GRAMMAR_CHOICES}")
+    _, predicate, marked = fim_grammars.language(which, rank)
+    return predicate, marked
 
 
 def _cmd_decide(args: argparse.Namespace) -> int:
     if len(args.words) == 1:
-        u, v = words.parse_marked(args.words[0], args.rank).pair()
+        marked = words.parse_marked(args.words[0], args.rank)
     elif len(args.words) == 2:
-        u = words.parse_word(args.words[0], args.rank)
-        v = words.parse_word(args.words[1], args.rank)
+        u, v = (words.parse_word(text, args.rank) for text in args.words)
+        marked = words.MarkedWord(u, words.rev_invert(v))
     else:
         raise ValueError("expected one marked word or a pair of words")
-    result = {
-        "wp": lambda: munn.fim_equal(u, v),
-        "cowp": lambda: not munn.fim_equal(u, v),
-        "k1": lambda: munn.in_k1(u, v),
-        "k2": lambda: munn.in_k1(v, u),
-    }[args.mode]()
+    if args.mode == "wp":
+        result = munn.fim_equal(*marked.pair())
+    else:
+        which = {"cowp": "coWP-FIM", "k1": "K1", "k2": "K2"}[args.mode]
+        result = fim_grammars.language(which, args.rank).oracle(marked)
     print("true" if result else "false")
     return 0 if result else 1
 
@@ -184,11 +135,8 @@ def _cmd_crosscheck(args: argparse.Namespace) -> int:
     _check_cap(args.max_len)
     grammar = resolve_grammar(args.which, args.rank)
     predicate, marked = oracle_for(args.which, args.rank)
-    universe: Iterable
-    if marked:
-        universe = oracle.enumerate_marked(args.rank, args.max_len)
-    else:
-        universe = oracle.enumerate_words(args.rank, args.max_len)
+    enumerate_items = oracle.enumerate_marked if marked else oracle.enumerate_words
+    universe = enumerate_items(args.rank, args.max_len)
     report = oracle.crosscheck(grammar, predicate, universe, jobs=args.jobs)
     print(json.dumps(report.to_json_dict(), indent=2))
     return 0 if report.clean else 1

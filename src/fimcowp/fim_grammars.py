@@ -1,14 +1,17 @@
 """Grammar constructors for the languages attached to a free inverse monoid
 of finite rank: idempotent words, idempotents avoiding a rooted edge, the two
 one-sided co-word-problem languages K1 and K2, the free-group co-word
-problem, and their union, the full co-word problem.
+problem, and their union, the full co-word problem.  LANGUAGES names each
+with its constructor, its Munn-tree oracle and its universe.
 """
 
 from __future__ import annotations
 
 import random
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import Any, Callable, NamedTuple
 
+from . import munn, words
 from .cfg import (
     Grammar,
     Production,
@@ -16,9 +19,8 @@ from .cfg import (
     reverse_invert_grammar,
     union_grammar,
 )
-from .munn import avoids, is_idempotent
 from .oracle import enumerate_words
-from .words import MARKER, MarkedWord, alphabet, rev_invert
+from .words import MARKER, MarkedWord, alphabet, parse_letter, rev_invert
 
 
 def _nt(tag: str, letter: str) -> str:
@@ -132,14 +134,79 @@ def cowp_fim_grammar(rank: int) -> Grammar:
     return union_grammar([k1_grammar(rank), k2_grammar(rank), cowp_fg_grammar(rank)])
 
 
-@lru_cache(maxsize=None)
-def _idempotent_pool(rank: int, cap: int) -> tuple[str, ...]:
-    return tuple(w for w in enumerate_words(rank, 2 * cap) if is_idempotent(w))
+# Munn-tree oracles on one universe item, module-level so that crosscheck
+# workers can unpickle them.  They reach the deciders, and `language` the
+# constructors, through module attributes at each call, so that a wrapper
+# set on such an attribute sees every call.
+
+
+def _idempotent(item: str) -> bool:
+    return munn.is_idempotent(item)
+
+
+def _avoiding(letter: str, item: str) -> bool:
+    return munn.is_idempotent(item) and munn.avoids(item, letter)
+
+
+def _k1(item: MarkedWord) -> bool:
+    return munn.in_k1(*item.pair())
+
+
+def _k2(item: MarkedWord) -> bool:
+    u, v = item.pair()
+    return munn.in_k1(v, u)
+
+
+def _fg_nontrivial(item: MarkedWord) -> bool:
+    return words.free_reduce(item.left + item.right) != ""
+
+
+def _cowp(item: MarkedWord) -> bool:
+    return munn.in_cowp(item)
+
+
+ZX = "Zx:<letter>"
+
+# name -> (grammar constructor, oracle, whether the universe is marked words)
+LANGUAGES: dict[str, tuple[str, Callable, bool]] = {
+    "E": ("idempotent_grammar", _idempotent, False),
+    ZX: ("avoiding_grammar", _avoiding, False),
+    "K1": ("k1_grammar", _k1, True),
+    "K2": ("k2_grammar", _k2, True),
+    "coWP-FG": ("cowp_fg_grammar", _fg_nontrivial, True),
+    "coWP-FIM": ("cowp_fim_grammar", _cowp, True),
+}
+
+
+class Language(NamedTuple):
+    """A row of LANGUAGES at one rank: the grammar constructor bound to its
+    arguments, the picklable oracle, and whether the universe is marked
+    words (True) or words (False)."""
+
+    grammar: Callable[[], Grammar]
+    oracle: Callable[[Any], bool]
+    marked: bool
+
+
+def language(which: str, rank: int) -> Language:
+    """The language of LANGUAGES named `which`, at this rank; the ZX row
+    is named with a letter of the rank, as in Zx:a."""
+    args: tuple = ()
+    if which.startswith("Zx:"):
+        if len(which) != 4:
+            raise ValueError(f"expected Zx:<letter>, got {which!r}")
+        args, which = (parse_letter(which[3], rank),), ZX
+    elif which not in LANGUAGES:
+        raise ValueError(f"unknown grammar {which!r}; choices: {', '.join(LANGUAGES)}")
+    constructor, oracle, marked = LANGUAGES[which]
+    oracle = partial(oracle, *args) if args else oracle
+    return Language(partial(globals()[constructor], rank, *args), oracle, marked)
 
 
 @lru_cache(maxsize=None)
-def _avoiding_pool(rank: int, letter: str, cap: int) -> tuple[str, ...]:
-    return tuple(w for w in _idempotent_pool(rank, cap) if avoids(w, letter))
+def _pool(rank: int, which: str, cap: int) -> tuple[str, ...]:
+    """The words of length <= 2*cap of a word language of LANGUAGES."""
+    return tuple(filter(language(which, rank).oracle, enumerate_words(rank, 2 * cap)))
 
 
 def sample_kmn(rank: int, m: int, n: int, seed: int, cap: int = 2) -> MarkedWord:
@@ -163,7 +230,7 @@ def sample_kmn(rank: int, m: int, n: int, seed: int, cap: int = 2) -> MarkedWord
     def pick_letter(banned: tuple[str, ...] = ()) -> str:
         return rng.choice([l for l in letters if l not in banned])
 
-    idem = _idempotent_pool(rank, cap)
+    idem = _pool(rank, "E", cap)
 
     xs: list[str] = []
     for _ in range(m):
@@ -188,11 +255,11 @@ def sample_kmn(rank: int, m: int, n: int, seed: int, cap: int = 2) -> MarkedWord
 
     v: list[str] = []
     for xi in xs:
-        v.append(rng.choice(_avoiding_pool(rank, xi, cap)))
+        v.append(rng.choice(_pool(rank, "Zx:" + xi, cap)))
         v.append(xi)
-    v.append(rng.choice(_avoiding_pool(rank, x, cap)))
+    v.append(rng.choice(_pool(rank, "Zx:" + x, cap)))
     for yi in ys:
         v.append(yi)
-        v.append(rng.choice(_avoiding_pool(rank, yi.swapcase(), cap)))
+        v.append(rng.choice(_pool(rank, "Zx:" + yi.swapcase(), cap)))
 
     return MarkedWord("".join(u), rev_invert("".join(v)))

@@ -15,7 +15,7 @@ from itertools import islice, product
 from typing import Callable, Iterable, Iterator
 
 from .cfg import Grammar, _Chart
-from .cfg import cyk_member  # noqa: F401  re-exported: membership of one word
+from .cfg import cyk_member  # noqa: F401  kept: perfbench/layers.py traces it here by name
 from .words import MarkedWord, alphabet, symbol_sort_key
 
 EXAMPLE_CAP = 100

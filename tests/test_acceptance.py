@@ -4,13 +4,10 @@ pass/fail line per criterion (run with ``pytest -v -s tests/test_acceptance.py``
 
 import random
 import time
-from functools import partial
 from pathlib import Path
 
 from fimcowp import (
     alphabet,
-    avoiding_grammar,
-    avoids,
     build_munn,
     cowp_fim_grammar,
     crosscheck,
@@ -20,11 +17,9 @@ from fimcowp import (
     fim_equal,
     grammar_stats,
     grammar_to_bnf,
-    idempotent_grammar,
     in_k1,
-    is_idempotent,
     k1_grammar,
-    k2_grammar,
+    language,
     munn_product,
     sample_kmn,
 )
@@ -40,34 +35,11 @@ def _report(name, ok, detail=""):
     assert ok, line
 
 
-def _pred_idempotent(w):
-    return is_idempotent(w)
-
-
-def _pred_avoiding(x, w):
-    return is_idempotent(w) and avoids(w, x)
-
-
-def _pred_k1(m):
-    u, v = m.pair()
-    return in_k1(u, v)
-
-
-def _pred_k2(m):
-    u, v = m.pair()
-    return in_k1(v, u)
-
-
-def _pred_cowp(m):
-    from fimcowp import in_cowp
-
-    return in_cowp(m)
-
-
 def test_criterion_1_idempotent_grammar_equivalence():
     started = time.perf_counter()
-    r1 = crosscheck(idempotent_grammar(1), _pred_idempotent, enumerate_words(1, 10))
-    r2 = crosscheck(idempotent_grammar(2), _pred_idempotent, enumerate_words(2, 8))
+    e1, e2 = language("E", 1), language("E", 2)
+    r1 = crosscheck(e1.grammar(), e1.oracle, enumerate_words(1, 10))
+    r2 = crosscheck(e2.grammar(), e2.oracle, enumerate_words(2, 8))
     ok = r1.clean and r1.universe == 2047 and r2.clean and r2.universe == 87381
     _report(
         "criterion 1: idempotent grammar == free-reduction oracle "
@@ -83,11 +55,8 @@ def test_criterion_2_avoiding_grammar_equivalence():
     ok = True
     for rank, bound in ((1, 10), (2, 8)):
         for x in alphabet(rank):
-            report = crosscheck(
-                avoiding_grammar(rank, x),
-                partial(_pred_avoiding, x),
-                enumerate_words(rank, bound),
-            )
+            zx = language(f"Zx:{x}", rank)
+            report = crosscheck(zx.grammar(), zx.oracle, enumerate_words(rank, bound))
             checked += report.universe
             ok = ok and report.clean
     _report(
@@ -102,12 +71,9 @@ def test_criterion_3_cowp_union_and_k1_k2_equivalence():
     ok = True
     total = 0
     for rank, bound in ((1, 6), (2, 5)):
-        for grammar, pred in (
-            (cowp_fim_grammar(rank), _pred_cowp),
-            (k1_grammar(rank), _pred_k1),
-            (k2_grammar(rank), _pred_k2),
-        ):
-            report = crosscheck(grammar, pred, enumerate_marked(rank, bound))
+        for which in ("coWP-FIM", "K1", "K2"):
+            row = language(which, rank)
+            report = crosscheck(row.grammar(), row.oracle, enumerate_marked(rank, bound))
             total += report.universe
             ok = ok and report.clean
     _report(

@@ -28,6 +28,7 @@ from fimcowp import (
     insert_marker_grammar,
     k1_grammar,
     k2_grammar,
+    language,
     parse_marked,
     parse_word,
     reverse_invert_grammar,
@@ -35,7 +36,6 @@ from fimcowp import (
     union_grammar,
 )
 from fimcowp.cfg import _Chart, _chart_tables
-from fimcowp.cli import oracle_for, resolve_grammar
 
 E1 = idempotent_grammar(1)
 K1 = k1_grammar(1)
@@ -164,13 +164,13 @@ CHART_LANGUAGES = ("E", "Zx:a", "K1", "coWP-FIM")
 def rank1_route(which):
     """The rank-1 grammar, its words up to CHART_MAX_LEN by enumeration, and
     the Munn-tree decision on any text over its terminals."""
-    grammar = resolve_grammar(which, 1)
-    predicate, marked = oracle_for(which, 1)
+    row = language(which, 1)
+    grammar = row.grammar()
 
     def oracle(text):
-        if marked:
-            return text.count("#") == 1 and predicate(parse_marked(text, 1))
-        return predicate(text)
+        if row.marked:
+            return text.count("#") == 1 and row.oracle(parse_marked(text, 1))
+        return row.oracle(text)
 
     return grammar, enumerate_language(grammar, CHART_MAX_LEN), oracle
 

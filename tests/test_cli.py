@@ -4,6 +4,7 @@ import os
 import pytest
 
 from fimcowp.cli import main
+from fimcowp.fim_grammars import LANGUAGES
 
 
 def run(capsys, *argv):
@@ -35,6 +36,11 @@ def test_decide_word_pair(capsys):
     assert code == 0 and out == "true\n"
     code, out, _ = run(capsys, "decide", "--rank", "1", "--mode", "k2", "", "aA")
     assert code == 0 and out == "true\n"
+    # every mode on a pair: aAa = a, and aA, Aa differ in both directions
+    for u, v, truths in (("aAa", "a", {"wp"}), ("aA", "Aa", {"cowp", "k1", "k2"})):
+        for mode in ("wp", "cowp", "k1", "k2"):
+            code, out, _ = run(capsys, "decide", "--rank", "1", "--mode", mode, u, v)
+            assert (code, out) == ((0, "true\n") if mode in truths else (1, "false\n"))
 
 
 def test_decide_malformed(capsys):
@@ -77,14 +83,43 @@ def test_grammar_cnf_flag(capsys):
     assert "E'" in heads
 
 
+# every subcommand that takes --which, with the rest of a valid command line
+WHICH_COMMANDS = {
+    "grammar": [],
+    "parse": ["aA"],
+    "enumerate": ["--max-len", "2"],
+    "crosscheck": ["--max-len", "2"],
+}
+
+
+def assert_which_error(capsys, rank, which, message):
+    for command, rest in WHICH_COMMANDS.items():
+        code, out, err = run(capsys, command, "--rank", str(rank), "--which", which, *rest)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), (command, which)
+
+
 def test_grammar_unknown_name(capsys):
-    code, _, err = run(capsys, "grammar", "--rank", "1", "--which", "XYZ")
-    assert code == 2 and "unknown grammar" in err
+    choices = "choices: E, Zx:<letter>, K1, K2, coWP-FG, coWP-FIM"
+    for which in ("XYZ", "Foo", "zx:a", "e", ""):
+        assert_which_error(capsys, 1, which, f"unknown grammar {which!r}; {choices}")
 
 
 def test_grammar_letter_out_of_range(capsys):
-    code, _, err = run(capsys, "grammar", "--rank", "2", "--which", "Zx:c")
-    assert code == 2 and "out of range" in err
+    assert_which_error(capsys, 2, "Zx:c", "generator 'c' out of range for rank 2")
+
+
+def test_grammar_malformed_zx(capsys):
+    for which in ("Zx:", "Zx:ab", "Zx:<letter>"):
+        assert_which_error(capsys, 1, which, f"expected Zx:<letter>, got {which!r}")
+    assert_which_error(capsys, 1, "Zx:1", "not a generator letter: '1'")
+
+
+def test_help_lists_every_language(capsys):
+    listed = ", ".join(LANGUAGES)
+    assert listed == "E, Zx:<letter>, K1, K2, coWP-FG, coWP-FIM"
+    for command in WHICH_COMMANDS:
+        code, out, _ = run(capsys, command, "--help")
+        assert code == 0 and f"--which WHICH {listed} " in " ".join(out.split())
 
 
 def test_grammar_deterministic(capsys):

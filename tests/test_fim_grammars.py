@@ -1,10 +1,14 @@
-from functools import partial
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from fimcowp import (
+    alphabet,
     avoiding_grammar,
-    avoids,
     cowp_fg_grammar,
     cowp_fim_grammar,
     crosscheck,
@@ -12,18 +16,17 @@ from fimcowp import (
     enumerate_language,
     enumerate_marked,
     enumerate_words,
-    free_reduce,
     grammar_stats,
     idempotent_grammar,
-    in_cowp,
     in_k1,
-    is_idempotent,
     k1_grammar,
     k2_grammar,
+    language,
     parse_marked,
-    rev_invert,
     sample_kmn,
 )
+from fimcowp import cfg, fim_grammars, munn, oracle, words
+from fimcowp.fim_grammars import LANGUAGES, ZX
 
 
 def test_idempotent_grammar_examples():
@@ -105,67 +108,110 @@ def test_shortest_k1_words():
     assert enumerate_language(k1_grammar(1), 3) == {"aA#", "Aa#"}
 
 
-# --- oracle equivalence at unit scale (acceptance re-runs these bigger)
+# --- the language table: each grammar against its Munn-tree oracle at unit
+# scale (acceptance re-runs these bigger)
 
 
-def _pred_idempotent(w):
-    return is_idempotent(w)
-
-
-def _pred_avoiding(x, w):
-    return is_idempotent(w) and avoids(w, x)
+def table_names(rank):
+    """Every name the table answers to at this rank, each Zx letter included."""
+    names = []
+    for name in LANGUAGES:
+        names += [f"Zx:{x}" for x in alphabet(rank)] if name == ZX else [name]
+    return names
 
 
 def test_idempotent_grammar_matches_oracle():
-    report = crosscheck(idempotent_grammar(1), _pred_idempotent, enumerate_words(1, 8))
-    assert report.clean and report.universe == 511
-    report = crosscheck(idempotent_grammar(2), _pred_idempotent, enumerate_words(2, 6))
-    assert report.clean
+    for rank, bound, size in ((1, 8, 511), (2, 6, 5461)):
+        e = language("E", rank)
+        report = crosscheck(e.grammar(), e.oracle, enumerate_words(rank, bound))
+        assert report.clean and report.universe == size
 
 
 def test_avoiding_grammar_matches_oracle():
     for rank, bound in ((1, 8), (2, 5)):
         for x in ("a", "A"):
-            report = crosscheck(
-                avoiding_grammar(rank, x),
-                partial(_pred_avoiding, x),
-                enumerate_words(rank, bound),
-            )
+            zx = language(f"Zx:{x}", rank)
+            report = crosscheck(zx.grammar(), zx.oracle, enumerate_words(rank, bound))
             assert report.clean, (rank, x, report.false_accepts, report.false_rejects)
 
 
-def _pred_k1(m):
-    u, v = m.pair()
-    return in_k1(u, v)
+@pytest.mark.parametrize("which", ["K1", "K2", "coWP-FG", "coWP-FIM"])
+def test_marked_grammars_match_oracles_small(which):
+    for rank, bound in ((1, 4), (2, 3)):
+        row = language(which, rank)
+        assert row.marked
+        report = crosscheck(row.grammar(), row.oracle, enumerate_marked(rank, bound))
+        assert report.clean, (report.false_accepts, report.false_rejects)
 
 
-def _pred_k2(m):
-    u, v = m.pair()
-    return in_k1(v, u)
+def test_rows_call_through_module_attributes(monkeypatch):
+    # a wrapper set on a constructor or decider (as perfbench's tracer does)
+    # must see the table's calls
+    called = []
+
+    def spy(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            called.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for constructor, _, _ in LANGUAGES.values():
+        spy(fim_grammars, constructor)
+    for name in ("is_idempotent", "avoids", "in_k1", "in_cowp"):
+        spy(munn, name)
+    spy(words, "free_reduce")
+    for which, constructor, item, decider in [
+        ("E", "idempotent_grammar", "aA", "is_idempotent"),
+        ("Zx:a", "avoiding_grammar", "Aa", "avoids"),
+        ("K1", "k1_grammar", parse_marked("aA#", 1), "in_k1"),
+        ("K2", "k2_grammar", parse_marked("#aA", 1), "in_k1"),
+        ("coWP-FG", "cowp_fg_grammar", parse_marked("a#", 1), "free_reduce"),
+        ("coWP-FIM", "cowp_fim_grammar", parse_marked("aA#", 1), "in_cowp"),
+    ]:
+        called.clear()
+        row = language(which, 1)
+        assert row.oracle(item) and decider in called, which
+        called.clear()
+        row.grammar()
+        assert called[0] == constructor, which
 
 
-def _pred_cowp(m):
-    return in_cowp(m)
+def _grammar_route(*args, **kwargs):
+    raise AssertionError("an oracle used the grammar route")
 
 
-def _pred_fg(m):
-    return free_reduce(m.left + m.right) != ""
-
-
-@pytest.mark.parametrize(
-    "factory,pred",
-    [
-        (k1_grammar, _pred_k1),
-        (k2_grammar, _pred_k2),
-        (cowp_fg_grammar, _pred_fg),
-        (cowp_fim_grammar, _pred_cowp),
-    ],
-)
-def test_marked_grammars_match_oracles_small(factory, pred):
-    report = crosscheck(factory(1), pred, enumerate_marked(1, 4))
-    assert report.clean, (report.false_accepts, report.false_rejects)
-    report = crosscheck(factory(2), pred, enumerate_marked(2, 3))
-    assert report.clean, (report.false_accepts, report.false_rejects)
+def test_oracles_stay_off_the_grammar_route_and_pickle(monkeypatch):
+    for module, name in [(cfg, "_Chart"), (cfg, "_chart_tables"), (cfg, "cyk_member"),
+                         (cfg, "derive"), (cfg, "enumerate_language"),
+                         (oracle, "_Chart"), (oracle, "cyk_member")]:
+        monkeypatch.setattr(module, name, _grammar_route)
+    for name, (constructor, _, _) in LANGUAGES.items():
+        monkeypatch.setattr(fim_grammars, constructor, _grammar_route)
+    oracles, expected = [], []
+    for which in table_names(1):
+        row = language(which, 1)
+        items = list((enumerate_marked if row.marked else enumerate_words)(1, 5))
+        decided = [row.oracle(item) for item in items]
+        assert any(decided) and not all(decided), which
+        clone = pickle.loads(pickle.dumps(row.oracle))
+        assert [clone(item) for item in items] == decided, which
+        oracles.append((row.oracle, items))
+        expected.append(decided)
+    # a spawned worker unpickles the oracle in a fresh interpreter
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import pickle, sys; rows = pickle.load(sys.stdin.buffer);"
+         "print([[bool(oracle(item)) for item in items] for oracle, items in rows])"],
+        input=pickle.dumps(oracles), env=env, capture_output=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.decode() == f"{expected}\n"
 
 
 # --- structured sampler

@@ -2,61 +2,50 @@
 
 A tree is the subtree of the free-group Cayley graph traced by reading a
 word from the root, together with the endpoint of the path.  Vertices are
-reduced words, the root is ``""``.  Two words represent the same monoid
-element exactly when their trees are equal, which makes these trees the
-semantic oracle for every language in this package.
+reduced words, the root is ``""``, and the parent of a vertex is the vertex
+minus its last letter.  A tree is therefore stored as its set of non-root
+vertices, each naming the edge from its parent, plus the endpoint.  Two
+words represent the same monoid element exactly when their trees are
+equal, which makes these trees the semantic oracle for every language in
+this package.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .words import EPSILON_TOKEN, MarkedWord, free_reduce, symbol_sort_key
 
 
-class Edge(NamedTuple):
-    """A Cayley-graph edge, keyed by the endpoint nearer the root plus the
-    letter read walking away from the root; the far endpoint is
-    ``vertex + letter``."""
-
-    vertex: str
-    letter: str
-
-
 @dataclass(frozen=True)
 class MunnTree:
-    edges: frozenset[Edge]
+    """``edges`` holds the non-root vertices; each names the edge from its
+    parent ``v[:-1]``, so ``len(edges)`` is the edge count."""
+
+    edges: frozenset[str]
     terminal: str
 
 
-def _step(vertex: str, letter: str) -> tuple[Edge, str]:
-    """Normalized edge and endpoint reached by reading a letter from a reduced vertex."""
-    if vertex and vertex[-1] == letter.swapcase():
-        target = vertex[:-1]
-        return Edge(target, vertex[-1]), target
-    return Edge(vertex, letter), vertex + letter
-
-
 def build_munn(word: str) -> MunnTree:
-    edges: set[Edge] = set()
+    """A vertex is always first reached from its parent, so only forward
+    steps add one."""
+    edges: set[str] = set()
     vertex = ""
     for letter in word:
-        edge, vertex = _step(vertex, letter)
-        edges.add(edge)
+        if vertex and vertex[-1] == letter.swapcase():
+            vertex = vertex[:-1]
+        else:
+            vertex += letter
+            edges.add(vertex)
     return MunnTree(frozenset(edges), vertex)
 
 
 def munn_product(s: MunnTree, t: MunnTree) -> MunnTree:
-    """Tree of any concatenation u*v where u builds s and v builds t: shift
-    t's edges by s's terminal, re-normalize each, and union with s."""
-    edges = set(s.edges)
-    for edge in t.edges:
-        base = free_reduce(s.terminal + edge.vertex)
-        shifted, _ = _step(base, edge.letter)
-        edges.add(shifted)
-    return MunnTree(frozenset(edges), free_reduce(s.terminal + t.terminal))
+    """Tree of any concatenation u*v where u builds s and v builds t: t's
+    vertices shifted by s's terminal, united with s's."""
+    shifted = {free_reduce(s.terminal + vertex) for vertex in t.edges} - {""}
+    return MunnTree(s.edges | shifted, free_reduce(s.terminal + t.terminal))
 
 
 def is_idempotent(word: str) -> bool:
@@ -64,8 +53,11 @@ def is_idempotent(word: str) -> bool:
 
 
 def avoids(word: str, x: str) -> bool:
-    """True when the tree of the word lacks the edge joining the root to x."""
-    return Edge("", x) not in build_munn(word).edges
+    """True when the tree of the word lacks the edge joining the root to the
+    one-letter vertex x."""
+    if len(x) != 1:
+        raise ValueError(f"expected one letter, got {x!r}")
+    return x not in build_munn(word).edges
 
 
 def fim_equal(u: str, v: str) -> bool:
@@ -90,19 +82,13 @@ def _vertex_label(vertex: str) -> str:
 
 def tree_vertices(tree: MunnTree) -> list[str]:
     """All vertices in length-then-canonical order; the root is always present."""
-    seen = {"", tree.terminal}
-    seen.update(edge.vertex + edge.letter for edge in tree.edges)
-    return sorted(seen, key=symbol_sort_key)
-
-
-def _sorted_edges(tree: MunnTree) -> list[Edge]:
-    """Edges in the order of their far endpoints."""
-    return sorted(tree.edges, key=lambda e: symbol_sort_key(e.vertex + e.letter))
+    return sorted({"", *tree.edges}, key=symbol_sort_key)
 
 
 def render_dot(tree: MunnTree) -> str:
+    vertices = tree_vertices(tree)
     lines = ["graph munn {"]
-    for vertex in tree_vertices(tree):
+    for vertex in vertices:
         attrs = []
         if vertex == "":
             attrs.append("shape=doublecircle")
@@ -110,10 +96,8 @@ def render_dot(tree: MunnTree) -> str:
             attrs.append("style=filled")
         suffix = f" [{', '.join(attrs)}]" if attrs else ""
         lines.append(f'  "{_vertex_label(vertex)}"{suffix};')
-    for edge in _sorted_edges(tree):
-        near = _vertex_label(edge.vertex)
-        far = edge.vertex + edge.letter
-        lines.append(f'  "{near}" -- "{far}" [label="{edge.letter}"];')
+    for vertex in vertices[1:]:
+        lines.append(f'  "{_vertex_label(vertex[:-1])}" -- "{vertex}" [label="{vertex[-1]}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -122,8 +106,8 @@ def render_ascii(tree: MunnTree) -> str:
     """One line per vertex, depth first from the root, children in canonical
     order; iterative, so a tree of any depth renders."""
     children: dict[str, list[str]] = defaultdict(list)
-    for edge in _sorted_edges(tree):
-        children[edge.vertex].append(edge.vertex + edge.letter)
+    for vertex in tree_vertices(tree)[1:]:
+        children[vertex[:-1]].append(vertex)
 
     lines = [f"{EPSILON_TOKEN} (root)" + (" (terminal)" if tree.terminal == "" else "")]
     stack = [(child, 1) for child in reversed(children[""])]

@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fimcowp import (
-    Edge,
     MunnTree,
     alphabet,
     avoids,
@@ -32,11 +31,33 @@ words2 = st.text(alphabet=alphabet(2), max_size=8)
 
 def test_build_munn_examples():
     assert build_munn("") == MunnTree(frozenset(), "")
-    assert build_munn(W("aA")) == MunnTree(frozenset({Edge("", "a")}), "")
-    assert build_munn(W("aAa")) == MunnTree(frozenset({Edge("", "a")}), W("a"))
-    assert build_munn(W("abBA")) == MunnTree(frozenset({Edge("", "a"), Edge("a", "b")}), "")
-    # reading back towards the root keys the edge by the near endpoint
-    assert build_munn(W("AabB")).edges == frozenset({Edge("", "A"), Edge("", "b")})
+    assert build_munn(W("aA")) == MunnTree(frozenset({"a"}), "")
+    assert build_munn(W("aAa")) == MunnTree(frozenset({"a"}), W("a"))
+    assert build_munn(W("abBA")) == MunnTree(frozenset({"a", "ab"}), "")
+    # an edge is named by its far endpoint, whichever way it was read
+    assert build_munn(W("AabB")).edges == frozenset({"A", "b"})
+
+
+def _check_reference(w):
+    # the vertices are the reduced prefixes of w, the endpoint its reduced form
+    t = build_munn(w)
+    assert "" not in t.edges
+    assert t.edges | {""} == {free_reduce(w[:i]) for i in range(len(w) + 1)}
+    assert t.terminal == free_reduce(w)
+
+
+def test_build_munn_reference_exhaustive():
+    for w in enumerate_words(2, 7):
+        _check_reference(w)
+
+
+@given(st.text(alphabet=alphabet(3), max_size=40))
+def test_build_munn_reference(w):
+    _check_reference(w)
+
+
+def _is_prefix_closed(tree):
+    return "" not in tree.edges and all(v[:-1] in tree.edges for v in tree.edges if len(v) > 1)
 
 
 def test_build_munn_edge_count_bounded_by_length():
@@ -44,11 +65,11 @@ def test_build_munn_edge_count_bounded_by_length():
         assert len(build_munn(w).edges) <= len(w)
 
 
-def test_edges_are_keyed_by_near_endpoint():
-    # reading an inverse letter from the root gives the root-keyed edge
+def test_edges_are_named_by_far_endpoint():
+    # reading an inverse letter from the root gives the root edge
     # in the inverse direction, distinct from the positive-direction edge
     t = build_munn(W("Aa"))
-    assert t.edges == frozenset({Edge("", "A")})
+    assert t.edges == frozenset({"A"})
     assert build_munn(W("Aa")) != build_munn(W("aA"))
 
 
@@ -71,7 +92,9 @@ def test_munn_product_soundness_exhaustive_small():
     trees = {w: build_munn(w) for w in words}
     for u in words:
         for v in words:
-            assert munn_product(trees[u], trees[v]) == build_munn(u + v)
+            product = munn_product(trees[u], trees[v])
+            assert product == build_munn(u + v)
+            assert _is_prefix_closed(product)
 
 
 @given(words2, words2)
@@ -82,7 +105,9 @@ def test_munn_product_soundness(u, v):
 @given(words2, words2, words2)
 def test_munn_product_associative(u, v, w):
     s, t, r = build_munn(u), build_munn(v), build_munn(w)
-    assert munn_product(munn_product(s, t), r) == munn_product(s, munn_product(t, r))
+    left = munn_product(munn_product(s, t), r)
+    assert left == munn_product(s, munn_product(t, r))
+    assert _is_prefix_closed(left)
 
 
 def test_is_idempotent_examples():
@@ -102,6 +127,12 @@ def test_avoids_examples():
     assert avoids(W("bB"), "a")
     assert not avoids(W("aA"), "a")
     assert avoids(W("Aa"), "a")  # only the inverse-direction edge is present
+
+
+@pytest.mark.parametrize("x", ["", "ab", "aA"])
+def test_avoids_rejects_non_letter(x):
+    with pytest.raises(ValueError, match="expected one letter"):
+        avoids(W("abBA"), x)
 
 
 def test_avoids_symmetry_under_rev_invert():
@@ -180,6 +211,24 @@ def test_render_dot_path():
         '  "a" -- "ab" [label="b"];\n'
         "}\n"
     )
+    # branching at the root and below it; the path ends back at the root
+    assert render_dot(build_munn(W("abBcCAAcCaBb", 3))) == (
+        "graph munn {\n"
+        '  "1" [shape=doublecircle, style=filled];\n'
+        '  "a";\n'
+        '  "A";\n'
+        '  "B";\n'
+        '  "ab";\n'
+        '  "ac";\n'
+        '  "Ac";\n'
+        '  "1" -- "a" [label="a"];\n'
+        '  "1" -- "A" [label="A"];\n'
+        '  "1" -- "B" [label="B"];\n'
+        '  "a" -- "ab" [label="b"];\n'
+        '  "a" -- "ac" [label="c"];\n'
+        '  "A" -- "Ac" [label="c"];\n'
+        "}\n"
+    )
 
 
 def test_render_ascii():
@@ -189,4 +238,11 @@ def test_render_ascii():
     assert render_ascii(build_munn("")) == "1 (root) (terminal)\n"
     assert render_ascii(build_munn(W("bBBbAaaAa"))) == (
         "1 (root)\n  a a (terminal)\n  A A\n  b b\n  B B\n"
+    )
+    assert render_ascii(build_munn(W("abBcCAAcCaBb", 3))) == (
+        "1 (root) (terminal)\n  a a\n    b ab\n    c ac\n  A A\n    c Ac\n  B B\n"
+    )
+    # the same tree, ending at a branching vertex below the root
+    assert render_ascii(build_munn(W("abBcCAAcCaBba", 3))) == (
+        "1 (root)\n  a a (terminal)\n    b ab\n    c ac\n  A A\n    c Ac\n  B B\n"
     )

@@ -2,50 +2,184 @@
 
 A tree is the subtree of the free-group Cayley graph traced by reading a
 word from the root, together with the endpoint of the path.  Vertices are
-reduced words, the root is ``""``, and the parent of a vertex is the vertex
-minus its last letter.  A tree is therefore stored as its set of non-root
-vertices, each naming the edge from its parent, plus the endpoint.  Two
-words represent the same monoid element exactly when their trees are
-equal, which makes these trees the semantic oracle for every language in
-this package.
+reduced words and the root is ``""``.  Two words represent the same monoid
+element exactly when their trees are equal, which makes these trees the
+semantic oracle for every language in this package.
+
+The vertices are kept in a trie whose nodes are integer ids.  Reading a
+word walks it one letter at a time: the inverse of the last letter on the
+path steps back to the parent, and any other letter steps to the child for
+that letter, created if it is missing.  Reading costs one step per letter
+and builds no vertex string; ``MunnTree.edges`` spells the vertices out on
+first use.  The deciders walk both words on one trie and build no tree.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from itertools import islice
 
 from .words import EPSILON_TOKEN, MarkedWord, free_reduce, symbol_sort_key
 
+# A trie is (children, parents, inverses): children maps parent << 7 | code
+# to the child's id, where code is a letter's ASCII code; parents[i] and
+# inverses[i] are node i's parent and the code of the inverse of its last
+# letter.  The root is node 0, with inverse code 0, which no letter matches.
+# A vertex is first reached from its parent, so parents come first.
 
-@dataclass(frozen=True)
+
+def _codes(word: str) -> bytes:
+    data = word.encode()
+    if data and not data.isalpha():
+        raise ValueError(f"not a word over the letters a-z, A-Z: {word!r}")
+    return data
+
+
+def _walk(data: bytes, children: dict, parents: list, inverses: bytearray) -> int:
+    """Read data from the root, adding missing nodes; the endpoint's id."""
+    get = children.get
+    node = 0
+    for x in data:
+        if x == inverses[node]:
+            node = parents[node]
+        else:
+            key = node << 7 | x
+            nxt = get(key)
+            if nxt is None:
+                nxt = children[key] = len(parents)
+                parents.append(node)
+                inverses.append(x ^ 32)
+            node = nxt
+    return node
+
+
+def _read(word: str) -> tuple[tuple[dict, list, bytearray], int]:
+    """A fresh trie with word read into it, and the endpoint's id."""
+    trie: tuple[dict, list, bytearray] = ({}, [0], bytearray(1))
+    return trie, _walk(_codes(word), *trie)
+
+
 class MunnTree:
-    """``edges`` holds the non-root vertices; each names the edge from its
-    parent ``v[:-1]``, so ``len(edges)`` is the edge count."""
+    """A trie of reduced words plus the endpoint's node.  ``edges`` is the
+    ``frozenset`` of non-root vertices, each naming the edge from its parent
+    ``v[:-1]``, so ``len(edges)`` is the edge count; ``terminal`` is the
+    endpoint as a reduced word.  Both are read-only and built on first use,
+    and the trie is never changed once built.  Equal trees compare and hash
+    equal however they were built."""
 
-    edges: frozenset[str]
-    terminal: str
+    __slots__ = ("_children", "_parents", "_inverses", "_end", "_edges", "_hash")
+
+    def __init__(self, edges: frozenset[str], terminal: str) -> None:
+        """The tree with these non-root vertices and this endpoint."""
+        edges = frozenset(edges)
+        children: dict[int, int] = {}
+        parents, inverses = [0], bytearray(1)
+        ids = {"": 0}
+        for vertex in sorted(edges, key=len):
+            data = _codes(vertex)
+            parent = ids.get(vertex[:-1])
+            if not data or parent is None or data[-1] == inverses[parent]:
+                raise ValueError(f"not a prefix-closed set of reduced words: {vertex!r}")
+            ids[vertex] = children[parent << 7 | data[-1]] = len(parents)
+            parents.append(parent)
+            inverses.append(data[-1] ^ 32)
+        if terminal not in ids:
+            raise ValueError(f"terminal {terminal!r} is not a vertex")
+        self._set(children, parents, inverses, ids[terminal])
+        self._edges = edges
+
+    def _set(self, children, parents, inverses, end) -> None:
+        self._children, self._parents, self._inverses, self._end = (
+            children, parents, inverses, end)
+        self._edges = self._hash = None
+
+    def _nodes(self):
+        """(parent, inverse code) of every non-root node, parents first."""
+        return islice(zip(self._parents, self._inverses), 1, None)
+
+    @property
+    def edges(self) -> frozenset[str]:
+        if self._edges is None:
+            names = [""]
+            for p, inv in self._nodes():
+                names.append(names[p] + chr(inv ^ 32))
+            self._edges = frozenset(islice(names, 1, None))
+        return self._edges
+
+    @property
+    def terminal(self) -> str:
+        letters = bytearray()
+        node = self._end
+        while node:
+            letters.append(self._inverses[node] ^ 32)
+            node = self._parents[node]
+        return letters[::-1].decode()
+
+    def __eq__(self, other: object) -> bool:
+        """Maps this tree's nodes into other's children table, parents first."""
+        if not isinstance(other, MunnTree):
+            return NotImplemented
+        if len(self._parents) != len(other._parents):
+            return False
+        if self._parents == other._parents and self._inverses == other._inverses:
+            return self._end == other._end
+        get = other._children.get
+        image = [0]
+        for p, inv in self._nodes():
+            node = get(image[p] << 7 | inv ^ 32)
+            if node is None:
+                return False
+            image.append(node)
+        return image[self._end] == other._end
+
+    def __hash__(self) -> int:
+        """Hashes the set of per-vertex path hashes and the endpoint's."""
+        if self._hash is None:
+            paths = [0]
+            for p, inv in self._nodes():
+                paths.append(hash((paths[p], inv)))
+            self._hash = hash((frozenset(paths), paths[self._end]))
+        return self._hash
+
+    def __reduce__(self):
+        return _tree, (self._children, self._parents, self._inverses, self._end)
+
+    def __repr__(self) -> str:
+        return f"MunnTree(edges={self.edges!r}, terminal={self.terminal!r})"
+
+
+def _tree(children, parents, inverses, end) -> MunnTree:
+    tree = object.__new__(MunnTree)
+    tree._set(children, parents, inverses, end)
+    return tree
 
 
 def build_munn(word: str) -> MunnTree:
-    """A vertex is always first reached from its parent, so only forward
-    steps add one."""
-    edges: set[str] = set()
-    vertex = ""
-    for letter in word:
-        if vertex and vertex[-1] == letter.swapcase():
-            vertex = vertex[:-1]
-        else:
-            vertex += letter
-            edges.add(vertex)
-    return MunnTree(frozenset(edges), vertex)
+    trie, end = _read(word)
+    return _tree(*trie, end)
 
 
 def munn_product(s: MunnTree, t: MunnTree) -> MunnTree:
     """Tree of any concatenation u*v where u builds s and v builds t: t's
-    vertices shifted by s's terminal, united with s's."""
-    shifted = {free_reduce(s.terminal + vertex) for vertex in t.edges} - {""}
-    return MunnTree(s.edges | shifted, free_reduce(s.terminal + t.terminal))
+    nodes grafted, parents first, onto a copy of s at s's endpoint."""
+    children, parents, inverses = dict(s._children), list(s._parents), bytearray(s._inverses)
+    get = children.get
+    image = [s._end]
+    for p, inv in t._nodes():
+        node = image[p]
+        x = inv ^ 32
+        if x == inverses[node]:
+            node = parents[node]
+        else:
+            key = node << 7 | x
+            nxt = get(key)
+            if nxt is None:
+                nxt = children[key] = len(parents)
+                parents.append(node)
+                inverses.append(inv)
+            node = nxt
+        image.append(node)
+    return _tree(children, parents, inverses, image[t._end])
 
 
 def is_idempotent(word: str) -> bool:
@@ -55,20 +189,40 @@ def is_idempotent(word: str) -> bool:
 def avoids(word: str, x: str) -> bool:
     """True when the tree of the word lacks the edge joining the root to the
     one-letter vertex x."""
-    if len(x) != 1:
+    if len(x) != 1 or not (x.isascii() and x.isalpha()):
         raise ValueError(f"expected one letter, got {x!r}")
-    return x not in build_munn(word).edges
+    (children, _, _), _ = _read(word)
+    return ord(x) not in children
 
 
 def fim_equal(u: str, v: str) -> bool:
-    return build_munn(u) == build_munn(v)
+    """Reads u, then v on u's trie: equal when v adds no node, visits every
+    node and ends at u's endpoint."""
+    (children, parents, inverses), end = _read(u)
+    get = children.get
+    seen = bytearray(len(parents))
+    seen[0] = 1
+    unseen = len(parents) - 1
+    node = 0
+    for x in _codes(v):
+        if x == inverses[node]:
+            node = parents[node]
+        else:
+            node = get(node << 7 | x)
+            if node is None:
+                return False
+            if not seen[node]:
+                seen[node] = 1
+                unseen -= 1
+    return node == end and not unseen
 
 
 def in_k1(u: str, v: str) -> bool:
-    """Equal in the free group, but u's tree has an edge v's tree lacks."""
-    tu = build_munn(u)
-    tv = build_munn(v)
-    return tu.terminal == tv.terminal and not tu.edges <= tv.edges
+    """Equal in the free group, but u's tree has an edge v's tree lacks:
+    reading u after v ends where v does and adds a node."""
+    (children, parents, inverses), end = _read(v)
+    size = len(parents)
+    return _walk(_codes(u), children, parents, inverses) == end and len(parents) > size
 
 
 def in_cowp(marked: MarkedWord) -> bool:
@@ -87,12 +241,13 @@ def tree_vertices(tree: MunnTree) -> list[str]:
 
 def render_dot(tree: MunnTree) -> str:
     vertices = tree_vertices(tree)
+    terminal = tree.terminal
     lines = ["graph munn {"]
     for vertex in vertices:
         attrs = []
         if vertex == "":
             attrs.append("shape=doublecircle")
-        if vertex == tree.terminal:
+        if vertex == terminal:
             attrs.append("style=filled")
         suffix = f" [{', '.join(attrs)}]" if attrs else ""
         lines.append(f'  "{_vertex_label(vertex)}"{suffix};')
@@ -109,11 +264,12 @@ def render_ascii(tree: MunnTree) -> str:
     for vertex in tree_vertices(tree)[1:]:
         children[vertex[:-1]].append(vertex)
 
-    lines = [f"{EPSILON_TOKEN} (root)" + (" (terminal)" if tree.terminal == "" else "")]
+    terminal = tree.terminal
+    lines = [f"{EPSILON_TOKEN} (root)" + (" (terminal)" if terminal == "" else "")]
     stack = [(child, 1) for child in reversed(children[""])]
     while stack:
         vertex, depth = stack.pop()
-        mark = " (terminal)" if vertex == tree.terminal else ""
+        mark = " (terminal)" if vertex == terminal else ""
         lines.append("  " * depth + f"{vertex[-1]} {vertex}{mark}")
         stack.extend((child, depth + 1) for child in reversed(children[vertex]))
     return "\n".join(lines) + "\n"

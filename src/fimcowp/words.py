@@ -1,17 +1,17 @@
 """Alphabets with formal inverses, words, free reduction, and marked words.
 
 Generators are the lowercase letters a, b, c, ...; the matching uppercase
-letter is the formal inverse, so inverting a letter is ``str.swapcase``.  A
-word is a plain ``str`` over these letters, checked by ``parse_word``.  A
-marked word serializes as ``u#t`` with exactly one ``#``.  The empty word
-prints as ``""``; where output formats need a visible token it is rendered
-as ``1``.
+letter is the formal inverse, so inverting a letter swaps its case, and
+``rev_invert`` swaps a whole word with one ``str.translate`` table.  A word
+is a plain ``str`` over these letters, checked by ``parse_word``.  A marked
+word serializes as ``u#t`` with exactly one ``#``.  The empty word prints as
+``""``; where output formats need a visible token it is rendered as ``1``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from string import ascii_lowercase
+from string import ascii_lowercase, ascii_uppercase
 
 MARKER = "#"
 EPSILON_TOKEN = "1"
@@ -30,6 +30,10 @@ def alphabet(rank: int) -> str:
     return "".join(g + g.upper() for g in ascii_lowercase[:rank])
 
 
+_LETTERS = {rank: frozenset(alphabet(rank)) for rank in range(1, MAX_RANK + 1)}
+_INVERSE = str.maketrans(ascii_lowercase + ascii_uppercase, ascii_uppercase + ascii_lowercase)
+
+
 def parse_letter(text: str, rank: int) -> str:
     """Check that text is one letter at this rank and return it."""
     if len(text) != 1 or not text.isascii() or not text.isalpha():
@@ -43,8 +47,11 @@ def parse_word(text: str, rank: int) -> str:
     """Check that text is a word at this rank and return it."""
     if MARKER in text:
         raise WordSyntaxError(f"unexpected {MARKER!r} in word {text!r}")
-    for char in dict.fromkeys(text):  # distinct letters, in order of first use
-        parse_letter(char, rank)
+    letters = _LETTERS.get(rank)
+    if letters is None or not letters.issuperset(text):
+        # name the first bad letter, or check every letter at a bad rank
+        for char in dict.fromkeys(text):  # distinct letters, in order of first use
+            parse_letter(char, rank)
     return text
 
 
@@ -61,7 +68,7 @@ def free_reduce(word: str) -> str:
 
 def rev_invert(word: str) -> str:
     """Reverse the word and invert every letter; the formal inverse in the free group."""
-    return word[::-1].swapcase()
+    return word[::-1].translate(_INVERSE)
 
 
 @dataclass(frozen=True)

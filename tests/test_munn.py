@@ -246,3 +246,154 @@ def test_render_ascii():
     assert render_ascii(build_munn(W("abBcCAAcCaBba", 3))) == (
         "1 (root)\n  a a (terminal)\n    b ab\n    c ac\n  A A\n    c Ac\n  B B\n"
     )
+
+
+# --- the string-set algorithm, kept as a test-only reference ---------------
+# A tree is (set of non-root vertices, endpoint): the reduced prefixes of the
+# word and its reduced form.
+
+
+def ref_tree(w):
+    return frozenset(free_reduce(w[:i]) for i in range(1, len(w) + 1)) - {""}, free_reduce(w)
+
+
+def ref_product(s, t):
+    (s_vertices, s_end), (t_vertices, t_end) = s, t
+    shifted = {free_reduce(s_end + v) for v in t_vertices} - {""}
+    return s_vertices | shifted, free_reduce(s_end + t_end)
+
+
+def ref_in_k1(s, t):
+    (s_vertices, s_end), (t_vertices, t_end) = s, t
+    return s_end == t_end and not s_vertices <= t_vertices
+
+
+def _as_ref(tree):
+    return tree.edges, tree.terminal
+
+
+def _check_against_reference(u, v, trees, refs):
+    for w in (u, v, u + v):
+        if w not in trees:
+            trees[w], refs[w] = build_munn(w), ref_tree(w)
+    assert fim_equal(u, v) == (refs[u] == refs[v])
+    assert in_k1(u, v) == ref_in_k1(refs[u], refs[v])
+    product = munn_product(trees[u], trees[v])
+    assert _as_ref(product) == refs[u + v]
+    assert product == trees[u + v]
+
+
+def test_deciders_match_reference_exhaustive():
+    # every rank-2 word of length <= 7, and every split of it into a pair,
+    # so (v, u) is checked wherever (u, v) is
+    trees, refs = {}, {}
+    for w in enumerate_words(2, 7):
+        trees[w], refs[w] = build_munn(w), ref_tree(w)
+        assert _as_ref(trees[w]) == refs[w]
+        assert is_idempotent(w) == (refs[w][1] == "")
+        for x in alphabet(2):
+            assert avoids(w, x) == (x not in refs[w][0])
+        for i in range(len(w) + 1):
+            _check_against_reference(w[:i], w[i:], trees, refs)
+
+
+def test_in_cowp_matches_reference_exhaustive():
+    for m in enumerate_marked(2, 6):
+        u, v = m.pair()
+        assert in_cowp(m) == (ref_tree(u) != ref_tree(v))
+
+
+words3 = st.text(alphabet=alphabet(3), max_size=60)
+
+
+@settings(max_examples=300, deadline=None)
+@given(words3, words3, st.sampled_from(alphabet(3)))
+def test_deciders_match_reference(u, v, x):
+    assert _as_ref(build_munn(u)) == ref_tree(u)
+    assert avoids(u, x) == (x not in ref_tree(u)[0])
+    product = munn_product(build_munn(u), build_munn(v))
+    assert _as_ref(product) == ref_product(ref_tree(u), ref_tree(v))
+    trees, refs = {}, {}
+    # u u^-1 u equals u in the monoid; u x x^-1 x^-1 x only when u's tree
+    # already has both edges at u's endpoint
+    for left, right in ((u, v), (v, u), (u, u + rev_invert(u) + u),
+                        (u, u + x + x.swapcase() * 2 + x)):
+        _check_against_reference(left, right, trees, refs)
+
+
+@pytest.mark.parametrize("left,right", [
+    (munn_product(build_munn("abA"), build_munn("aBBa")), build_munn("abAaBBa")),
+    (build_munn("aAa"), build_munn("a")),
+    (MunnTree(frozenset({"a", "ab", "A"}), "ab"), build_munn("AaabBb")),
+    (MunnTree(edges=frozenset(), terminal=""), build_munn("")),
+])
+def test_separate_builds_compare_and_hash_equal(left, right):
+    assert left == right and right == left
+    assert hash(left) == hash(right)
+    assert len({left, right}) == 1
+    assert _as_ref(left) == _as_ref(right)
+
+
+def test_literal_constructor_matches_build_munn():
+    for w in enumerate_words(2, 5):
+        t = build_munn(w)
+        literal = MunnTree(t.edges, t.terminal)
+        assert literal == t and hash(literal) == hash(t)
+        assert literal.edges == t.edges and literal.terminal == t.terminal
+
+
+@pytest.mark.parametrize("edges,terminal", [
+    ({""}, ""),                 # the root is not an edge
+    ({"ab"}, "ab"),             # not prefix-closed
+    ({"a", "aA"}, ""),          # not reduced
+    ({"a"}, "b"),               # endpoint not a vertex
+    ({"1"}, "1"),               # not a letter
+])
+def test_literal_constructor_rejects_non_trees(edges, terminal):
+    with pytest.raises(ValueError):
+        MunnTree(frozenset(edges), terminal)
+
+
+def test_trees_are_immutable_and_pickle():
+    import pickle
+
+    t = build_munn(W("abBAAc", 3))
+    for name in ("edges", "terminal", "other"):
+        with pytest.raises(AttributeError):
+            setattr(t, name, None)
+    for name in ("edges", "terminal"):
+        with pytest.raises(AttributeError):
+            delattr(t, name)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        clone = pickle.loads(pickle.dumps(t, protocol))
+        assert clone == t and hash(clone) == hash(t)
+        assert _as_ref(clone) == _as_ref(t) == ref_tree("abBAAc")
+        assert munn_product(clone, t) == build_munn("abBAAc" * 2)
+
+
+@pytest.mark.parametrize("word", ["a#", "a1", "ab c", "é", "aé"])
+def test_deciders_reject_non_letters(word):
+    for call in (lambda: build_munn(word), lambda: fim_equal(word, "a"),
+                 lambda: in_k1("a", word), lambda: avoids(word, "a")):
+        with pytest.raises(ValueError, match="not a word"):
+            call()
+
+
+def test_linear_memory_on_deep_words():
+    # each vertex string of a^n A^n alone would take about n^2 / 2 bytes (200 MB)
+    import tracemalloc
+
+    n = 20_000
+    w = "a" * n + "A" * n
+    tracemalloc.start()
+    try:
+        assert fim_equal(w, w + "aA")
+        assert not fim_equal(w, w + "bB")
+        assert in_k1(w + "bB", w)
+        assert not in_k1(w, w + "bB")
+        assert munn_product(build_munn(w), build_munn(w)) == build_munn(w)
+        assert munn_product(build_munn(w), build_munn("b")) == build_munn(w + "b")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

@@ -149,3 +149,29 @@ def test_parse_letter_rejects_junk():
             parse_letter(junk, 2)
     with pytest.raises(WordSyntaxError, match="out of range"):
         parse_letter("c", 2)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except WordSyntaxError as exc:
+        return f"error: {exc}"
+
+
+def _parse_word_letter_by_letter(text, rank):
+    # the check one letter at a time, which names the first bad letter
+    if "#" in text:
+        raise WordSyntaxError(f"unexpected '#' in word {text!r}")
+    for char in dict.fromkeys(text):
+        parse_letter(char, rank)
+    return text
+
+
+@given(st.text(alphabet="aAbBcCzZ#1 é", max_size=12), st.integers(0, 28))
+def test_parse_word_matches_letter_by_letter_check(text, rank):
+    assert _outcome(parse_word, text, rank) == _outcome(_parse_word_letter_by_letter, text, rank)
+
+
+@given(st.text(alphabet=alphabet(26), max_size=60))
+def test_rev_invert_swaps_case_of_reversal(w):
+    assert rev_invert(w) == w[::-1].swapcase()

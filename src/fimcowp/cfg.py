@@ -4,8 +4,10 @@ Grammars are immutable; symbols are strings, with terminals restricted to
 single characters so that plain Python strings double as words.  Membership
 and derivations share one chart over a binarised image of the grammar that
 keeps unit and epsilon rules (the 2NF of Lange and Leiss, "To CNF or not to
-CNF?", 2009); derivations are read out of it in the caller's own
-productions.  Chomsky normal form (`to_cnf`) is only an export format.
+CNF?", 2009) and bracket rules: a body t X u, terminals at both ends around
+one symbol, stays whole and is matched in one bitmask step when its closing
+terminal is pushed.  Derivations are read out of the chart in the caller's
+own productions.  Chomsky normal form (`to_cnf`) is only an export format.
 """
 
 from __future__ import annotations
@@ -347,7 +349,10 @@ class _Tables(NamedTuple):
     seeds: dict[str, tuple[int, ...]]  # terminal t -> every A with A ~>* t
     # right child C -> ((left child B, every A' ~>* A over the rules A -> B C), ...)
     by_right: dict[int, tuple[tuple[int, tuple[int, ...]], ...]]
-    binary: dict[int, list[_Rule]]  # head -> its rules with two children
+    # closing terminal u -> ((opening terminal t's id, middle X, 1 if X is
+    # nullable else 0, every A' ~>* A over the brackets A -> t X u), ...)
+    brackets: dict[str, tuple[tuple[int, int, int, tuple[int, ...]], ...]]
+    binary: dict[int, list[_Rule]]  # head -> its brackets and rules with two children
     unit: dict[int, list[tuple[_Rule, int]]]  # head -> (rule, position it ~> to)
     eps: dict[int, tuple[DerivationTree, ...]]  # nullable symbol -> its epsilon children
 
@@ -355,16 +360,18 @@ class _Tables(NamedTuple):
 @lru_cache(maxsize=_CACHE_SIZE)
 def _chart_tables(grammar: Grammar) -> _Tables:
     """Binarise the caller's productions, keeping unit and epsilon rules: a
-    body longer than two becomes a right-branching run through fresh
-    auxiliaries.  A ~> B when A -> B, or A -> B C or A -> C B with C
-    nullable.  Rule lists keep production order."""
+    body t X u, terminals at both ends around any one symbol, stays whole as
+    a bracket; any other body longer than two becomes a right-branching run
+    through fresh auxiliaries.  A ~> B when A -> B, or A -> B C or A -> C B
+    with C nullable.  Rule lists keep production order."""
     terminals = tuple(sorted(grammar.terminals))
     ids = {s: i for i, s in enumerate(terminals + tuple(sorted(grammar.nonterminals)))}
     size = aux = len(ids)
     rules: list[_Rule] = []
     for production in grammar.productions:
         head, body = ids[production.head], [ids[s] for s in production.body]
-        while len(body) > 2:
+        bracket = len(body) == 3 and body[0] < len(terminals) and body[2] < len(terminals)
+        while len(body) > 2 and not bracket:
             rules.append(_Rule(head, (body[0], size), production))
             head, body, size = size, body[1:], size + 1
         rules.append(_Rule(head, tuple(body), production))
@@ -385,8 +392,10 @@ def _chart_tables(grammar: Grammar) -> _Tables:
     binary: dict[int, list[_Rule]] = {}
     unit: dict[int, list[tuple[_Rule, int]]] = {}
     for rule in rules:
-        if len(rule.body) == 2:
+        if len(rule.body) >= 2:
             binary.setdefault(rule.head, []).append(rule)
+        if len(rule.body) == 3:
+            continue  # a bracket: its terminals are never nullable
         for pos, _ in enumerate(rule.body):
             if len(rule.body) == 1 or rule.body[1 - pos] in eps:
                 unit.setdefault(rule.head, []).append((rule, pos))
@@ -400,42 +409,77 @@ def _chart_tables(grammar: Grammar) -> _Tables:
                     up[rule.body[pos]] |= up[head]
                     changed = True
     by_right: dict[int, dict[int, set[int]]] = {}
+    by_close: dict[str, dict[tuple[int, int], set[int]]] = {}
     for rule in rules:
         if len(rule.body) == 2:
             by_right.setdefault(rule.body[1], {}).setdefault(rule.body[0], set()).update(
                 up[rule.head]
             )
+        elif len(rule.body) == 3:
+            t, x, u = rule.body
+            by_close.setdefault(terminals[u], {}).setdefault((t, x), set()).update(
+                up[rule.head]
+            )
     seeds = {t: tuple(sorted(up[ids[t]])) for t in terminals}
     pairs = {c: tuple((b, tuple(sorted(a))) for b, a in bs.items()) for c, bs in by_right.items()}
-    return _Tables(terminals, aux, ids[grammar.start], seeds, pairs, binary, unit, eps)
+    brackets = {
+        u: tuple((t, x, int(x in eps), tuple(sorted(a))) for (t, x), a in opens.items())
+        for u, opens in by_close.items()
+    }
+    return _Tables(terminals, aux, ids[grammar.start], seeds, pairs, brackets, binary, unit, eps)
 
 
 class _Chart:
     """A chart over the binarised grammar, grown one end column per pushed
     symbol and shrunk by dropping the last, so words that share a prefix can
     share its columns.  Column j maps each symbol A to the bitmask of starts
-    i < j with A =>* w[i:j]; empty spans are left to the nullable set.
+    i < j with A =>* w[i:j]; empty spans are left to the nullable set.  The
+    chart also keeps, for each terminal, the bitmask of the positions that
+    hold it.
 
-    A push seeds the new column at start j-1, then visits the starts with
-    new entries from the highest down: each symbol C new on [k, j) combines
-    with the finished column k through the rules A -> B C.  Starts only go
-    down, so every cell is final before it is read; the work follows the
-    cells that are set."""
+    A push seeds the new column at start j-1 and sets the heads of the
+    brackets A -> t X u closed by the pushed u: their starts are, in one
+    step, the positions of t shifted down from the starts of X on
+    [i+1, j-1) (and from j-1 itself when X is nullable).  It then visits the
+    starts with new entries from the highest down: each symbol C new on
+    [k, j) combines with the finished column k through the rules A -> B C.
+    Starts only go down, so every cell is final before it is read; the work
+    follows the cells that are set."""
+
+    __slots__ = ("_tables", "_cols", "_pos")
 
     def __init__(self, grammar: Grammar) -> None:
         self._tables = _chart_tables(grammar)
         self._cols: list[dict[int, int]] = [{}]
+        # terminal id -> the bitmask of its positions
+        self._pos = [0] * len(self._tables.terminals)
 
     def push(self, symbol: str) -> None:
-        seeds = self._tables.seeds.get(symbol)
+        tables = self._tables
+        seeds = tables.seeds.get(symbol)
         if seeds is None:
             raise GrammarError(f"symbol {symbol!r} is not a terminal of this grammar")
-        by_right, cols = self._tables.by_right, self._cols
+        by_right, cols, pos = tables.by_right, self._cols, self._pos
         first = len(cols) - 1
-        col = dict.fromkeys(seeds, 1 << first)
+        pending = bit = 1 << first
+        col = dict.fromkeys(seeds, bit)
         # start k -> the symbols set on [k, j) and not yet combined
         found = {first: list(seeds)}
-        pending = 1 << first
+        last = cols[first]
+        for t, x, nullable, heads in tables.brackets.get(symbol, ()):
+            # t at i, and X on [i+1, j-1), or empty there when nullable
+            starts = pos[t] & (last.get(x, 0) | nullable * bit) >> 1
+            if starts:
+                for a in heads:
+                    old = col.get(a, 0)
+                    new = starts & ~old
+                    if new:
+                        col[a] = old | new
+                        pending |= new
+                        while new:
+                            low = new & -new
+                            new ^= low
+                            found.setdefault(low.bit_length() - 1, []).append(a)
         while pending:
             k = pending.bit_length() - 1
             pending ^= 1 << k
@@ -455,13 +499,22 @@ class _Chart:
                                     new ^= low
                                     found.setdefault(low.bit_length() - 1, []).append(a)
         cols.append(col)
+        pos[seeds[0]] |= bit  # seeds[0] is the terminal: the lowest id of its closure
 
     def __len__(self) -> int:
         """The number of symbols pushed and not popped."""
         return len(self._cols) - 1
 
     def pop(self) -> None:
-        self._cols.pop()
+        """Drop the last symbol pushed.  On an empty chart, raise IndexError
+        and change nothing."""
+        cols = self._cols
+        if len(cols) == 1:
+            raise IndexError("pop from an empty chart")
+        col = cols.pop()
+        # the terminal dropped is the column's first key, seeds[0] in push,
+        # and its position is now the number of symbols left
+        self._pos[next(iter(col))] ^= 1 << len(cols) - 1
 
     def accepts(self) -> bool:
         """Whether the symbols pushed so far form a word of the language."""
@@ -502,7 +555,8 @@ class _Chart:
         """The rule that opens x's derivation of w[i:j], and its children:
         terminals, epsilon trees and spans still to expand.  Follows the
         shortest unit chain to a symbol set by a terminal or by a binary
-        split, takes the lowest split, and breaks ties by production order."""
+        split, takes the lowest split, and breaks ties by production order.
+        A bracket t X u splits at i + 1."""
         tables, cols, cell = self._tables, self._cols, self._cols[j]
         seen = {x}
         # (symbol, first step of the chain from x to it)
@@ -510,6 +564,14 @@ class _Chart:
         for y, first in queue:  # breadth first, so the chain is shortest
             split = None
             for rule in tables.binary.get(y, ()):
+                if len(rule.body) == 3:
+                    t, m, u = rule.body
+                    middle = (cols[j - 1].get(m, 0) >> (i + 1) & 1 if i + 2 < j
+                              else i + 2 == j and m in tables.eps)
+                    if (middle and cols[i + 1].get(t, 0) >> i & 1 and cell.get(u, 0) >> (j - 1) & 1
+                            and (split is None or split[0] > i + 1)):
+                        split = (i + 1, rule)
+                    continue
                 b, c = rule.body
                 ks = cell.get(c, 0) >> (i + 1) << (i + 1)
                 while ks:
@@ -530,6 +592,10 @@ class _Chart:
             raise AssertionError("a chart cell is set without a derivation")
         if first is None:
             k, rule = split
+            if len(rule.body) == 3:
+                t, m, u = rule.body
+                middle = [self._item(m, k, j - 1)] if k < j - 1 else list(tables.eps[m])
+                return rule, [self._item(t, i, k), *middle, self._item(u, j - 1, j)]
             return rule, [self._item(rule.body[0], i, k), self._item(rule.body[1], k, j)]
         rule, pos = first
         child = [self._item(rule.body[pos], i, j)]

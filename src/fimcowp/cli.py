@@ -17,6 +17,11 @@ from . import cfg, fim_grammars, munn, oracle, words
 HARD_CAP_ENV = "FIMCOWP_MAXLEN_HARD"
 HARD_CAP_DEFAULT = 14
 
+# the longest word parse takes.  Chart time grows about as the square of
+# the length on the costliest words: at this length (aA)^1000 under E takes
+# about 2 s, and (aA)^500 # (aA)^499 a under coWP-FIM at rank 2 about a minute
+PARSE_CAP = 2000
+
 GRAMMAR_CHOICES = ", ".join(fim_grammars.LANGUAGES)
 
 
@@ -109,6 +114,8 @@ def _cmd_grammar(args: argparse.Namespace) -> int:
 
 
 def _cmd_parse(args: argparse.Namespace) -> int:
+    if len(args.word) > PARSE_CAP:
+        raise ValueError(f"word of {len(args.word)} symbols exceeds the parse cap {PARSE_CAP}")
     grammar = resolve_grammar(args.which, args.rank)
     tree = None
     if args.tree and set(args.word) <= grammar.terminals:
@@ -176,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank", type=_rank, required=True)
     p.add_argument("--which", required=True, help=GRAMMAR_CHOICES)
     p.add_argument("--tree", action="store_true", help="print a derivation tree on accept")
-    p.add_argument("word")
+    p.add_argument("word", help=f"at most {PARSE_CAP} symbols")
     p.set_defaults(func=_cmd_parse)
 
     p = sub.add_parser("enumerate", help="list the language up to a length bound")

@@ -27,11 +27,21 @@ def _nt(tag: str, letter: str) -> str:
     return f"{tag}({letter})"
 
 
+def _unused(name: str, letters: str) -> str:
+    """The nonterminal name, primed as often as it takes not to be one of
+    the letters: E is the inverse of e from rank 5 on, S that of s from
+    rank 19 on."""
+    while name in letters:
+        name += "'"
+    return name
+
+
 def _idempotent_productions(letters: str) -> list[Production]:
     # E -> E E | x E x^-1 | epsilon, one bracketing production per letter
-    prods = [Production("E", ("E", "E")), Production("E", ())]
+    e = _unused("E", letters)
+    prods = [Production(e, (e, e)), Production(e, ())]
     for x in letters:
-        prods.append(Production("E", (x, "E", x.swapcase())))
+        prods.append(Production(e, (x, e, x.swapcase())))
     return prods
 
 
@@ -53,7 +63,8 @@ def idempotent_grammar(rank: int) -> Grammar:
     """Words representing idempotents, i.e. words freely reducing to the
     empty word."""
     letters = alphabet(rank)
-    return Grammar(set(letters), {"E"}, _idempotent_productions(letters), "E")
+    e = _unused("E", letters)
+    return Grammar(set(letters), {e}, _idempotent_productions(letters), e)
 
 
 @lru_cache(maxsize=None)
@@ -74,25 +85,26 @@ def k1_grammar(rank: int) -> Grammar:
     """Marked words u#t whose decoded pair (u, v) is equal in the free group
     while the tree of u has an edge the tree of v lacks."""
     letters = alphabet(rank)
+    s, e = _unused("S", letters), _unused("E", letters)
     prods: list[Production] = []
     for x in letters:
         xi = x.swapcase()
-        prods.append(Production("S", (_nt("P", x),)))
+        prods.append(Production(s, (_nt("P", x),)))
         prods.append(Production(_nt("Q", x), (MARKER,)))
         for y in letters:
             if y != xi:
-                prods.append(Production(_nt("P", x), ("E", x, _nt("P", y), xi, _nt("Z", x))))
-                prods.append(Production(_nt("Q", x), (x, "E", _nt("Q", y), _nt("Z", xi), xi)))
+                prods.append(Production(_nt("P", x), (e, x, _nt("P", y), xi, _nt("Z", x))))
+                prods.append(Production(_nt("Q", x), (x, e, _nt("Q", y), _nt("Z", xi), xi)))
             if y != x:
                 prods.append(
-                    Production(_nt("P", x), ("E", x, "E", xi, "E", _nt("Q", y), _nt("Z", x)))
+                    Production(_nt("P", x), (e, x, e, xi, e, _nt("Q", y), _nt("Z", x)))
                 )
     prods += _idempotent_productions(letters)
     prods += _avoiding_productions(letters)
-    nts = {"S", "E"}
+    nts = {s, e}
     for tag in ("P", "Q", "Z"):
         nts.update(_nt(tag, x) for x in letters)
-    return Grammar(set(letters) | {MARKER}, nts, prods, "S")
+    return Grammar(set(letters) | {MARKER}, nts, prods, s)
 
 
 @lru_cache(maxsize=None)
@@ -113,17 +125,18 @@ def cowp_fg_grammar(rank: int) -> Grammar:
     the reduced word), with the marker spliced in afterwards.
     """
     letters = alphabet(rank)
+    s, e = _unused("S", letters), _unused("E", letters)
     prods: list[Production] = []
     for x in letters:
         rx = _nt("R", x)
-        prods.append(Production("S", ("E", x, rx)))
-        prods.append(Production(rx, ("E",)))
+        prods.append(Production(s, (e, x, rx)))
+        prods.append(Production(rx, (e,)))
         for y in letters:
             if y != x.swapcase():
-                prods.append(Production(rx, ("E", y, _nt("R", y))))
+                prods.append(Production(rx, (e, y, _nt("R", y))))
     prods += _idempotent_productions(letters)
-    nts = {"S", "E"} | {_nt("R", x) for x in letters}
-    nontrivial = Grammar(set(letters), nts, prods, "S")
+    nts = {s, e} | {_nt("R", x) for x in letters}
+    nontrivial = Grammar(set(letters), nts, prods, s)
     return insert_marker_grammar(nontrivial, MARKER)
 
 

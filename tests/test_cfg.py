@@ -5,7 +5,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fimcowp import (
     DerivationTree,
@@ -54,16 +54,14 @@ def all_strings(alphabet, max_len):
 
 @st.composite
 def small_grammars(draw, terminals="ab"):
-    """Up to 4 nonterminals, bodies of length 0-3, maybe a unit cycle;
+    """Up to 4 nonterminals, bodies of length 0-3, often a bracket t X u
+    (terminals t and u around any one symbol X), maybe a unit cycle;
     unproductive and unreachable symbols come up on their own."""
     nts = "STUV"[: draw(st.integers(1, 4))]
     symbol = st.sampled_from(nts + terminals)
-    prods = draw(
-        st.lists(
-            st.tuples(st.sampled_from(nts), st.lists(symbol, max_size=3).map(tuple)),
-            max_size=10,
-        )
-    )
+    terminal = st.sampled_from(terminals)
+    body = st.one_of(st.lists(symbol, max_size=3).map(tuple), st.tuples(terminal, symbol, terminal))
+    prods = draw(st.lists(st.tuples(st.sampled_from(nts), body), max_size=10))
     if draw(st.booleans()):
         prods += [(a, (b,)) for a, b in zip(nts, nts[1:] + nts[0])]
     return Grammar(set(terminals), set(nts), [Production(h, b) for h, b in prods], "S")
@@ -155,37 +153,54 @@ def test_chart_foreign_symbol_leaves_chart_usable():
     chart.pop()
     chart.pop()
     assert len(chart) == 0 and chart.accepts()
+    with pytest.raises(IndexError):
+        chart.pop()
+    assert len(chart) == 0 and chart.accepts()
+    for symbol in "aAAa":
+        chart.push(symbol)
+    assert len(chart) == 4 and chart.accepts() and chart.tree().frontier() == "aAAa"
 
 
-CHART_MAX_LEN = 7
-CHART_LANGUAGES = ("E", "Zx:a", "K1", "coWP-FIM")
+# (language, rank) -> the longest word pushed
+CHART_BOUNDS = {("E", 1): 7, ("Zx:a", 1): 7, ("K1", 1): 7, ("coWP-FIM", 1): 7,
+                ("E", 2): 6, ("coWP-FG", 2): 5}
 
 
-def rank1_route(which):
-    """The rank-1 grammar, its words up to CHART_MAX_LEN by enumeration, and
-    the Munn-tree decision on any text over its terminals."""
-    row = language(which, 1)
+def chart_route(which, rank):
+    """The grammar, its words up to the bound by enumeration, and the
+    Munn-tree decision on any text over its terminals."""
+    row = language(which, rank)
     grammar = row.grammar()
 
     def oracle(text):
         if row.marked:
-            return text.count("#") == 1 and row.oracle(parse_marked(text, 1))
+            return text.count("#") == 1 and row.oracle(parse_marked(text, rank))
         return row.oracle(text)
 
-    return grammar, enumerate_language(grammar, CHART_MAX_LEN), oracle
+    return grammar, enumerate_language(grammar, CHART_BOUNDS[which, rank]), oracle
 
 
-CHART_ROUTES = {which: rank1_route(which) for which in CHART_LANGUAGES}
+CHART_ROUTES = {key: chart_route(*key) for key in CHART_BOUNDS}
 
 
-@settings(max_examples=150, deadline=None)
+def positions(word):
+    """Each symbol of the word -> the bitmask of the positions it holds."""
+    masks = {}
+    for i, symbol in enumerate(word):
+        masks[symbol] = masks.get(symbol, 0) | 1 << i
+    return masks
+
+
+@settings(max_examples=200, deadline=None)
 @given(
-    st.sampled_from(CHART_LANGUAGES),
-    st.lists(st.one_of(st.none(), st.sampled_from("aA#")), max_size=40),
+    st.sampled_from(sorted(CHART_BOUNDS)),
+    st.lists(st.one_of(st.none(), st.sampled_from("aAbB#")), max_size=40),
 )
-def test_chart_push_pop_matches_enumeration_and_oracle(which, steps):
-    # None pops; a letter pushes (pushes past the length bound are skipped)
-    grammar, language, oracle = CHART_ROUTES[which]
+def test_chart_push_pop_matches_enumeration_and_oracle(key, steps):
+    # None pops; a letter pushes (pushes past the length bound or off the
+    # alphabet are skipped); pops must restore the bracket position masks
+    grammar, language, oracle = CHART_ROUTES[key]
+    terminals = _chart_tables(grammar).terminals  # the order of chart._pos
     chart = _Chart(grammar)
     word = ""
     for step in steps:
@@ -194,13 +209,33 @@ def test_chart_push_pop_matches_enumeration_and_oracle(which, steps):
                 continue
             chart.pop()
             word = word[:-1]
-        elif step in grammar.terminals and len(word) < CHART_MAX_LEN:
+        elif step in grammar.terminals and len(word) < CHART_BOUNDS[key]:
             chart.push(step)
             word += step
         else:
             continue
         assert len(chart) == len(word)
+        masks = {t: mask for t, mask in zip(terminals, chart._pos) if mask}
+        assert masks == positions(word)
         assert chart.accepts() == (word in language) == oracle(word), word
+
+
+def test_idempotent_chart_sets_exactly_the_reducing_spans():
+    # E is all brackets and E E: no auxiliary, and a cell per span that
+    # freely reduces to the empty word
+    grammar = idempotent_grammar(2)
+    tables = _chart_tables(grammar)
+    e = len(tables.terminals)  # E, the one nonterminal, after the terminals
+    assert tables.aux == e + 1
+    for word in ("aAbBBbAa", "abBAaBbA", "aaAAbABBba", "BbbaABAaaAbb"):
+        chart = _Chart(grammar)
+        for symbol in word:
+            chart.push(symbol)
+        for j in range(1, len(word) + 1):
+            col = chart._cols[j]
+            assert all(symbol < tables.aux for symbol in col), (word, j)
+            reducing = sum(1 << i for i in range(j) if free_reduce(word[i:j]) == "")
+            assert col.get(e, 0) == reducing, (word, j)
 
 
 def test_cyk_agrees_with_enumeration_on_all_grammars():
@@ -221,8 +256,15 @@ def test_cyk_agrees_with_enumeration_on_all_grammars():
         assert got == expected
 
 
+# brackets around a nullable T, a non-nullable S and U, and the terminal a;
+# b S b with t == u; three brackets closed by b
+BRACKETS = tiny([("S", "aTb"), ("S", "bSb"), ("S", "aab"), ("S", "bUa"), ("S", "SS"),
+                 ("T", ""), ("T", "TT"), ("T", "aTb"), ("U", "a")])
+
+
 @settings(max_examples=200, deadline=None)
 @given(small_grammars())
+@example(BRACKETS)
 def test_chart_and_derive_match_enumeration_on_random_grammars(grammar):
     language = enumerate_language(grammar, 5)
     for word in all_strings("ab", 5):
@@ -331,6 +373,15 @@ def test_derive_minimal_idempotent_tree():
     assert isinstance(inner, DerivationTree)
     assert inner.production == Production("E", ())
     assert tree.frontier() == "aA"
+
+
+def test_derive_takes_the_lowest_split():
+    # E -> E E comes before E -> a E A in production order, but the bracket
+    # splits aAaA at 1 and E E only at 2
+    tree = derive(E1, "aAaA")
+    assert format_tree(tree) == "\n".join([
+        "E -> a E A", "  a", "  E -> A E a", "    A", "    E -> 1", "    a", "  A",
+    ])
 
 
 def test_derive_rejects_non_members():

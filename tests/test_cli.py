@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -158,9 +161,40 @@ def test_parse_tree_deep(capsys):
     assert out.splitlines() == ["accept", *opening, "  " * n + "E -> 1", *closing]
 
 
+def test_parse_length_cap(capsys):
+    code, out, err = run(capsys, "parse", "--rank", "1", "--which", "E", "aA" * 1000 + "a")
+    assert code == 2 and out == ""
+    assert err == "error: word of 2001 symbols exceeds the parse cap 2000\n"
+
+
 def test_parse_bad_symbol(capsys):
     code, _, err = run(capsys, "parse", "--rank", "1", "--which", "E", "c")
     assert code == 2 and "error" in err
+
+
+PARSE_AT_TOP_RANK = """
+import sys
+from fimcowp.cli import main
+for which in ("E", "Zx:a", "Zx:S", "K1", "K2", "coWP-FG", "coWP-FIM"):
+    word = "sS#eE" if which[0] in "Kc" else "sSeE"
+    for argv in (["grammar"], ["parse", "--tree", word]):
+        code = main([*argv, "--rank", "26", "--which", which])
+        print(which, argv[0], code, file=sys.stderr)
+"""
+
+
+def test_grammar_and_parse_at_the_top_rank():
+    # every letter is in play at rank 26, E, e, S and s among them; in a
+    # child process, which drops the large grammars when it ends
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", PARSE_AT_TOP_RANK], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    codes = {tuple(line.split()[:2]): line.split()[2] for line in done.stderr.splitlines()}
+    assert len(codes) == 14 and set(codes.values()) <= {"0", "1"}, done.stderr
+    assert codes["coWP-FIM", "parse"] == "0" and codes["coWP-FG", "parse"] == "1"
 
 
 # --- enumerate

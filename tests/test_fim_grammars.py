@@ -144,6 +144,23 @@ def test_marked_grammars_match_oracles_small(which):
         assert report.clean, (report.false_accepts, report.false_rejects)
 
 
+def test_nonterminals_are_renamed_only_where_they_are_letters():
+    # E is the inverse of e from rank 5 on, S that of s from rank 19 on
+    assert idempotent_grammar(4).nonterminals == {"E"}
+    assert idempotent_grammar(5).nonterminals == {"E'"}
+    assert k1_grammar(18).start == "S" and "E'" in k1_grammar(18).nonterminals
+    assert k1_grammar(19).start == "S'"
+    assert cowp_fg_grammar(19).start == "S'^1"
+
+
+@pytest.mark.parametrize("which", table_names(5))
+def test_every_language_matches_oracle_at_rank_5(which):
+    row = language(which, 5)
+    universe = (enumerate_marked if row.marked else enumerate_words)(5, 3)
+    report = crosscheck(row.grammar(), row.oracle, universe)
+    assert report.clean, (report.false_accepts, report.false_rejects)
+
+
 def test_rows_call_through_module_attributes(monkeypatch):
     # a wrapper set on a constructor or decider (as perfbench's tracer does)
     # must see the table's calls

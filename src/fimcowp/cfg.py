@@ -19,9 +19,6 @@ from typing import Collection, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .words import EPSILON_TOKEN
 
-# grammars whose CNF image and chart tables stay cached
-_CACHE_SIZE = 32
-
 
 class GrammarError(ValueError):
     """Malformed grammar, or input outside a grammar's alphabet."""
@@ -116,16 +113,31 @@ def grammar_to_json(grammar: Grammar) -> str:
 # Chomsky normal form
 
 
-def _generating(productions: Collection[Production], known: set[str]) -> set[str]:
-    """`known` plus every head with a body made of symbols in the result."""
-    out, size = set(known), -1
+def _generating(rules: Collection, known: Collection[str] = ()) -> dict:
+    """AND-closure: `known` (mapped to None) plus every head of a rule whose
+    body is in the result, mapped to the first rule that adds it when the
+    rules are scanned in order, round by round, until a round adds nothing."""
+    out, size = dict.fromkeys(known), -1
     while size != len(out):
         size = len(out)
-        out.update(head for head, body in productions if all(s in out for s in body))
+        for rule in rules:
+            if rule.head not in out and all(s in out for s in rule.body):
+                out[rule.head] = rule
     return out
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+def _reach(edges: Mapping, source) -> set:
+    """OR-closure: `source` and every node reachable from it along `edges`
+    (node -> its successors), by one depth-first search."""
+    seen, stack = {source}, [source]
+    while stack:
+        for node in edges.get(stack.pop(), ()):
+            if node not in seen:
+                seen.add(node)
+                stack.append(node)
+    return seen
+
+
 def to_cnf(grammar: Grammar) -> Grammar:
     """CNF image with a fresh non-recursive start; generates exactly the same
     language, keeping the empty word iff the original derives it.  Only an
@@ -170,7 +182,7 @@ def to_cnf(grammar: Grammar) -> Grammar:
         binned.append(Production(current, body))
 
     # DEL: drop nullable occurrences; keep epsilon only at the start
-    nullable = _generating(binned, set())
+    nullable = _generating(binned)
     deleted = {Production(start, ())} if start in nullable else set()
     for head, body in binned:
         variants: set[tuple[str, ...]] = {()}
@@ -182,22 +194,22 @@ def to_cnf(grammar: Grammar) -> Grammar:
     # UNIT: close over single-nonterminal bodies, then drop them
     units = {p for p in deleted if len(p.body) == 1 and p.body[0] not in terminals}
     unitless = deleted - units
-    pairs, longer = set(), {(p.head, p.body[0]) for p in units}
-    while longer:
-        pairs |= longer
-        longer = {(a, c) for a, b in pairs for b2, c in pairs if b2 == b} - pairs
+    unit_edges: dict[str, list[str]] = {}
+    for head, (body,) in units:
+        unit_edges.setdefault(head, []).append(body)
     by_head: dict[str, list[Production]] = {}
     for p in unitless:
         by_head.setdefault(p.head, []).append(p)
-    unitless |= {Production(a, p.body) for a, b in pairs for p in by_head.get(b, ())}
+    unitless |= {Production(a, p.body) for a in unit_edges
+                 for b in _reach(unit_edges, a) for p in by_head.get(b, ())}
 
     # TRIM: productive then reachable
-    productive = _generating(unitless, set(terminals))
+    productive = _generating(unitless, terminals)
     trimmed = {p for p in unitless if all(s in productive for s in (p.head, *p.body))}
-    reachable, grown = set(), {start}
-    while grown != reachable:
-        reachable = grown
-        grown = reachable | {s for h, b in trimmed if h in reachable for s in b}
+    edges: dict[str, list[str]] = {}
+    for head, body in trimmed:
+        edges.setdefault(head, []).extend(body)
+    reachable = _reach(edges, start)
     final = {p for p in trimmed if p.head in reachable}
     nts = {start} | {s for p in final for s in (p.head, *p.body) if s not in terminals}
 
@@ -357,7 +369,7 @@ class _Tables(NamedTuple):
     eps: dict[int, tuple[DerivationTree, ...]]  # nullable symbol -> its epsilon children
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+@lru_cache(maxsize=32)  # the tables of the 32 most recently used grammars
 def _chart_tables(grammar: Grammar) -> _Tables:
     """Binarise the caller's productions, keeping unit and epsilon rules: a
     body t X u, terminals at both ends around any one symbol, stays whole as
@@ -378,36 +390,27 @@ def _chart_tables(grammar: Grammar) -> _Tables:
 
     # each nullable symbol's fixed epsilon tree; an auxiliary's run of them
     eps: dict[int, tuple[DerivationTree, ...]] = {}
-    changed = True
-    while changed:
-        changed = False
-        for rule in rules:
-            if rule.head not in eps and all(s in eps for s in rule.body):
-                kids = tuple(tree for s in rule.body for tree in eps[s])
-                if rule.head < aux:
-                    kids = (DerivationTree(rule.production.head, rule.production, kids),)
-                eps[rule.head] = kids
-                changed = True
+    for head, rule in _generating(rules).items():
+        kids = tuple(tree for s in rule.body for tree in eps[s])
+        if head < aux:
+            kids = (DerivationTree(rule.production.head, rule.production, kids),)
+        eps[head] = kids
 
     binary: dict[int, list[_Rule]] = {}
     unit: dict[int, list[tuple[_Rule, int]]] = {}
+    parents: dict[int, list[int]] = {}  # X -> every A with A ~> X
     for rule in rules:
         if len(rule.body) >= 2:
             binary.setdefault(rule.head, []).append(rule)
         if len(rule.body) == 3:
             continue  # a bracket: its terminals are never nullable
-        for pos, _ in enumerate(rule.body):
+        for pos, symbol in enumerate(rule.body):
             if len(rule.body) == 1 or rule.body[1 - pos] in eps:
                 unit.setdefault(rule.head, []).append((rule, pos))
-    up = [{s} for s in range(size)]  # up[X]: every A with A ~>* X
-    changed = True
-    while changed:
-        changed = False
-        for head, steps in unit.items():
-            for rule, pos in steps:
-                if not up[head] <= up[rule.body[pos]]:
-                    up[rule.body[pos]] |= up[head]
-                    changed = True
+                parents.setdefault(symbol, []).append(rule.head)
+    # up[X]: every A with A ~>* X; most symbols have no parent to search from
+    up = {x: _reach(parents, x) if x in parents else {x}
+          for x in [*range(len(terminals)), *binary]}
     by_right: dict[int, dict[int, set[int]]] = {}
     by_close: dict[str, dict[tuple[int, int], set[int]]] = {}
     for rule in rules:

@@ -17,9 +17,10 @@ from . import cfg, fim_grammars, munn, oracle, words
 HARD_CAP_ENV = "FIMCOWP_MAXLEN_HARD"
 HARD_CAP_DEFAULT = 14
 
-# the longest word parse takes.  Chart time grows about as the square of
-# the length on the costliest words: at this length (aA)^1000 under E takes
-# about 2 s, and (aA)^500 # (aA)^499 a under coWP-FIM at rank 2 about a minute
+# the longest word parse and munn take.  Chart time and munn's output grow
+# about as the square of the length on the costliest words: at this length
+# (aA)^1000 under E takes about 2 s, and (aA)^500 # (aA)^499 a under coWP-FIM
+# at rank 2 about a minute
 PARSE_CAP = 2000
 
 GRAMMAR_CHOICES = ", ".join(fim_grammars.LANGUAGES)
@@ -35,25 +36,21 @@ def _rank(text: str) -> int:
     return value
 
 
-def _nonneg(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError("expected a nonnegative integer")
-    return value
+def _int_at_least(low: int, kind: str) -> Callable[[str], int]:
+    """An argparse type for `kind` integers, those of at least `low`."""
+    def check(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected a {kind} integer")
+        return value
+    return check
 
 
-def _jobs(text: str) -> int:
-    """A worker count of at least 1; crosscheck lowers it to the CPU count."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError("expected a positive integer")
-    return value
+_nonneg = _int_at_least(0, "nonnegative")
+_jobs = _int_at_least(1, "positive")  # a worker count; crosscheck lowers it to the CPU count
 
 
 def _hard_cap() -> int:
@@ -114,8 +111,6 @@ def _cmd_grammar(args: argparse.Namespace) -> int:
 
 
 def _cmd_parse(args: argparse.Namespace) -> int:
-    if len(args.word) > PARSE_CAP:
-        raise ValueError(f"word of {len(args.word)} symbols exceeds the parse cap {PARSE_CAP}")
     grammar = resolve_grammar(args.which, args.rank)
     tree = None
     if args.tree and set(args.word) <= grammar.terminals:
@@ -165,42 +160,38 @@ def build_parser() -> argparse.ArgumentParser:
         "free inverse monoids of finite rank.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    ranked = argparse.ArgumentParser(add_help=False)
+    ranked.add_argument("--rank", type=_rank, required=True)
+    named = argparse.ArgumentParser(add_help=False, parents=[ranked])
+    named.add_argument("--which", required=True, help=GRAMMAR_CHOICES)
 
-    p = sub.add_parser("decide", help="decide wp/cowp/k1/k2 membership with the Munn-tree oracle")
-    p.add_argument("--rank", type=_rank, required=True)
+    p = sub.add_parser("decide", parents=[ranked],
+                       help="decide wp/cowp/k1/k2 membership with the Munn-tree oracle")
     p.add_argument("--mode", choices=["wp", "cowp", "k1", "k2"], required=True)
     p.add_argument("words", nargs="+", help="a marked word u#t, or a pair of words u v")
     p.set_defaults(func=_cmd_decide)
 
-    p = sub.add_parser("grammar", help="print a grammar")
-    p.add_argument("--rank", type=_rank, required=True)
-    p.add_argument("--which", required=True, help=GRAMMAR_CHOICES)
+    p = sub.add_parser("grammar", parents=[named], help="print a grammar")
     p.add_argument("--format", choices=["bnf", "json"], default="bnf")
     p.add_argument("--cnf", action="store_true", help="convert to Chomsky normal form first")
     p.set_defaults(func=_cmd_grammar)
 
-    p = sub.add_parser("parse", help="test membership of a word in a grammar")
-    p.add_argument("--rank", type=_rank, required=True)
-    p.add_argument("--which", required=True, help=GRAMMAR_CHOICES)
+    p = sub.add_parser("parse", parents=[named], help="test membership of a word in a grammar")
     p.add_argument("--tree", action="store_true", help="print a derivation tree on accept")
     p.add_argument("word", help=f"at most {PARSE_CAP} symbols")
     p.set_defaults(func=_cmd_parse)
 
-    p = sub.add_parser("enumerate", help="list the language up to a length bound")
-    p.add_argument("--rank", type=_rank, required=True)
-    p.add_argument("--which", required=True, help=GRAMMAR_CHOICES)
+    p = sub.add_parser("enumerate", parents=[named], help="list the language up to a length bound")
     p.add_argument("--max-len", type=_nonneg, required=True)
     p.set_defaults(func=_cmd_enumerate)
 
-    p = sub.add_parser("crosscheck", help="compare a grammar against its semantic oracle")
-    p.add_argument("--rank", type=_rank, required=True)
-    p.add_argument("--which", required=True, help=GRAMMAR_CHOICES)
+    p = sub.add_parser("crosscheck", parents=[named],
+                       help="compare a grammar against its semantic oracle")
     p.add_argument("--max-len", type=_nonneg, required=True)
     p.add_argument("--jobs", type=_jobs, default=1)
     p.set_defaults(func=_cmd_crosscheck)
 
-    p = sub.add_parser("munn", help="render the Munn tree of a word")
-    p.add_argument("--rank", type=_rank, required=True)
+    p = sub.add_parser("munn", parents=[ranked], help="render the Munn tree of a word")
     p.add_argument("--format", choices=["dot", "ascii"], default="dot")
     p.add_argument("word")
     p.set_defaults(func=_cmd_munn)
@@ -215,6 +206,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse already printed the message
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        if len(getattr(args, "word", "")) > PARSE_CAP:  # parse and munn
+            raise ValueError(f"word of {len(args.word)} symbols exceeds the "
+                             f"{args.command} cap {PARSE_CAP}")
         return args.func(args)
     except (words.WordSyntaxError, cfg.GrammarError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,6 +22,8 @@ from .cfg import (
 from .oracle import enumerate_words
 from .words import MARKER, MarkedWord, alphabet, parse_letter, rev_invert
 
+_CACHE_SIZE = 64  # per constructor; one sample_kmn call at rank 26 uses 53 pools
+
 
 def _nt(tag: str, letter: str) -> str:
     return f"{tag}({letter})"
@@ -58,7 +60,7 @@ def _avoiding_productions(letters: str) -> list[Production]:
     return prods
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def idempotent_grammar(rank: int) -> Grammar:
     """Words representing idempotents, i.e. words freely reducing to the
     empty word."""
@@ -67,7 +69,7 @@ def idempotent_grammar(rank: int) -> Grammar:
     return Grammar(set(letters), {e}, _idempotent_productions(letters), e)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def avoiding_grammar(rank: int, avoid: str) -> Grammar:
     """Idempotent words whose tree lacks the edge from the root to `avoid`.
 
@@ -80,7 +82,7 @@ def avoiding_grammar(rank: int, avoid: str) -> Grammar:
     return Grammar(set(letters), nts, _avoiding_productions(letters), _nt("Z", avoid))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def k1_grammar(rank: int) -> Grammar:
     """Marked words u#t whose decoded pair (u, v) is equal in the free group
     while the tree of u has an edge the tree of v lacks."""
@@ -107,7 +109,7 @@ def k1_grammar(rank: int) -> Grammar:
     return Grammar(set(letters) | {MARKER}, nts, prods, s)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def k2_grammar(rank: int) -> Grammar:
     """Mirror of k1_grammar: the pair is equal in the free group while the
     tree of v has an edge the tree of u lacks."""
@@ -115,7 +117,7 @@ def k2_grammar(rank: int) -> Grammar:
     return reverse_invert_grammar(k1_grammar(rank), involution)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def cowp_fg_grammar(rank: int) -> Grammar:
     """Marked words u#t with u·t not reducing to the empty word, i.e. the
     co-word problem of the free group in marked form.
@@ -140,7 +142,7 @@ def cowp_fg_grammar(rank: int) -> Grammar:
     return insert_marker_grammar(nontrivial, MARKER)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def cowp_fim_grammar(rank: int) -> Grammar:
     """Union grammar for the full co-word problem over well-formed marked
     words: K1, K2, and the free-group co-word problem."""
@@ -216,7 +218,7 @@ def language(which: str, rank: int) -> Language:
     return Language(partial(globals()[constructor], rank, *args), oracle, marked)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _pool(rank: int, which: str, cap: int) -> tuple[str, ...]:
     """The words of length <= 2*cap of a word language of LANGUAGES."""
     return tuple(filter(language(which, rank).oracle, enumerate_words(rank, 2 * cap)))

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -36,6 +37,8 @@ from fimcowp import (
     union_grammar,
 )
 from fimcowp.cfg import _Chart, _chart_tables
+from fimcowp.fim_grammars import LANGUAGES, ZX, _pool
+from fimcowp.words import MAX_RANK, alphabet
 
 E1 = idempotent_grammar(1)
 K1 = k1_grammar(1)
@@ -329,6 +332,46 @@ def test_to_cnf_shape_and_language():
         assert enumerate_language(cnf, 5) == enumerate_language(g, 5)
 
 
+@settings(max_examples=200, deadline=None)
+@given(small_grammars())
+def test_to_cnf_shape_and_language_on_random_grammars(grammar):
+    # unit cycles, epsilon bodies and useless symbols all come up here
+    cnf = to_cnf(grammar)
+    assert cnf_shape_ok(cnf)
+    assert enumerate_language(cnf, 5) == enumerate_language(grammar, 5)
+
+
+# sha256 of grammar_to_bnf(to_cnf(g)) for every language at ranks 1-2, so
+# that a change to the closures in to_cnf cannot change the export unseen
+CNF_SHA256 = {
+    ("E", 1): "a790fe5ff42d1962a9a48ebf80c0aae13f1a40285f459af4dfaecdaaf4645105",
+    ("Zx:a", 1): "54ce75df2a7048d95a9cf1a69241ae7b56d6795d8723410ac098d726e2606d7a",
+    ("Zx:A", 1): "49361620829868e9c11182103b618ffd10a25dc684001fa16177b5203c8b022f",
+    ("K1", 1): "2bd5fab2dd98603adce65d0c2c8f12a50dfec0e1c1b297eac75a3d636b39ff13",
+    ("K2", 1): "50b4cf42a030fc89f8e5a4ca7e023e1f2ca132d3a2792e8cb43fdfb9673ba7cf",
+    ("coWP-FG", 1): "d12e38350c257fee9efc18c1ba12d8a7338509118889e841a4dea1af426999e3",
+    ("coWP-FIM", 1): "a7f85bd511ddbcf1247731d794797f9f54f7460cd4d826ddca3e811428261fa3",
+    ("E", 2): "5e67f0c25e02b429841b1b762517c5b960e7c4fcc52233f261d361987448f041",
+    ("Zx:a", 2): "8d1c57c9f2724b239819476f7d96cc55ad7cf9e837ce47c6cf79f39c485d89d8",
+    ("Zx:A", 2): "f1b80331c280cca3e3192476826b3d4a35acce10f4c2a35c66d3a5df99fae929",
+    ("Zx:b", 2): "9cdbe9e0ac105e9221cd39f0ba8e7d9aea49527778a3b96806ac262ab49356ae",
+    ("Zx:B", 2): "7784091d25989caa71205edba6b0643f1b9e77595ba2ae30f05b96f336015f2c",
+    ("K1", 2): "e2f41ad9483ab065b7e7fd8a7e72543720238deb43cb2ae6276462ba485e7dd6",
+    ("K2", 2): "a89eb79ce7a2d33230815af6723ba56205587680db3fec743377f47eaac64c0b",
+    ("coWP-FG", 2): "d5e0dfbd672f0776dccb77819e415d2ad81b5a4f879b7b12866fd0a542cec89a",
+    ("coWP-FIM", 2): "09ef70dbebb1ee08ea25ba7397d7902f2a0607a299dce9174e0608000e23f66d",
+}
+
+
+def test_to_cnf_export_is_pinned():
+    names = [(n, rank) for rank in (1, 2) for n in LANGUAGES if n != ZX]
+    names += [("Zx:" + x, rank) for rank in (1, 2) for x in alphabet(rank)]
+    assert sorted(names) == sorted(CNF_SHA256)
+    for name, rank in names:
+        bnf = grammar_to_bnf(to_cnf(language(name, rank).grammar()))
+        assert hashlib.sha256(bnf.encode()).hexdigest() == CNF_SHA256[name, rank], name
+
+
 def test_to_cnf_empty_language():
     g = tiny([("S", ("a", "S"))])
     cnf = to_cnf(g)
@@ -469,14 +512,28 @@ def test_deep_tree_walks():
 
 
 def test_grammar_caches_are_bounded():
-    bound = to_cnf.cache_info().maxsize
-    assert bound is not None and _chart_tables.cache_info().maxsize == bound
+    bound = _chart_tables.cache_info().maxsize
+    assert bound is not None
     for k in range(1, bound + 10):
         g = tiny([("S", "a" * k)])
         assert cyk_member(g, "a" * k)
         assert enumerate_language(to_cnf(g), k) == {"a" * k}
-        assert to_cnf.cache_info().currsize <= bound
         assert _chart_tables.cache_info().currsize <= bound
+    # one sample_kmn call at the top rank draws from 2 * MAX_RANK + 1 pools
+    cached = (idempotent_grammar, avoiding_grammar, k1_grammar, k2_grammar, cowp_fg_grammar,
+              cowp_fim_grammar, _pool)
+    for constructor in cached:
+        size = constructor.cache_info().maxsize
+        assert size is not None and size >= 2 * MAX_RANK + 1, constructor
+    avoided = [(rank, x) for rank in range(1, 9) for x in alphabet(rank)]
+    pools = [(rank, which, cap) for rank in range(1, MAX_RANK + 1) for which in ("E", "Zx:a")
+             for cap in (0, 1)]
+    for constructor, calls in ((avoiding_grammar, avoided), (_pool, pools)):
+        size = constructor.cache_info().maxsize
+        assert len(calls) > size
+        for args in calls:
+            constructor(*args)
+            assert constructor.cache_info().currsize <= size
 
 
 # --- transformations

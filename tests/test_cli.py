@@ -317,6 +317,19 @@ def test_munn_ascii_deep_tree(capsys):
     assert lines[-1] == "  " * 1500 + f"b {word} (terminal)"
 
 
+def test_munn_length_cap(capsys):
+    # at the cap the tree is drawn; one letter more is refused before any work
+    word = "a" * 1000 + "A" * 1000
+    for fmt in ("dot", "ascii"):
+        code, out, err = run(capsys, "munn", "--rank", "1", "--format", fmt, word)
+        assert code == 0 and err == ""
+        # a vertex a line, plus an edge a line and the braces in dot
+        assert out.count("\n") == {"dot": 2003, "ascii": 1001}[fmt]
+        code, out, err = run(capsys, "munn", "--rank", "1", "--format", fmt, word + "a")
+        assert code == 2 and out == ""
+        assert err == "error: word of 2001 symbols exceeds the munn cap 2000\n"
+
+
 def test_munn_bad_word(capsys):
     code, _, err = run(capsys, "munn", "--rank", "1", "a#")
     assert code == 2

@@ -6,7 +6,8 @@ and derivations share one chart over a binarised image of the grammar that
 keeps unit and epsilon rules (the 2NF of Lange and Leiss, "To CNF or not to
 CNF?", 2009) and bracket rules: a body t X u, terminals at both ends around
 one symbol, stays whole and is matched in one bitmask step when its closing
-terminal is pushed.  Derivations are read out of the chart in the caller's
+terminal is pushed; other long bodies share one auxiliary per distinct
+suffix.  Derivations are read out of the chart in the caller's
 own productions.  Chomsky normal form (`to_cnf`) is only an export format.
 """
 
@@ -228,33 +229,41 @@ def to_cnf(grammar: Grammar) -> Grammar:
 
 
 def enumerate_language(grammar: Grammar, max_len: int) -> set[str]:
-    """Exactly the words of length <= max_len, by a fixpoint that grows each
-    nonterminal's word set until nothing changes."""
+    """Exactly the words of length <= max_len, grown one length n at a time.
+    The words of length 0 come from the nullable symbols.  For n > 0, each
+    body first joins the final sets of lengths below n; then the fixpoint
+    within length n is the unit closure, A taking the length-n words of
+    every B with A ~>* B (A -> ... B ... with every other symbol nullable)."""
     if max_len < 0:
         raise GrammarError("length bound must be nonnegative")
-    known: dict[str, set[str]] = {nt: set() for nt in grammar.nonterminals}
-    changed = True
-    while changed:
-        changed = False
+    terminals, nullable = grammar.terminals, _generating(grammar.productions)
+    units: dict[str, list[str]] = {}  # A -> every B with A ~> B
+    for head, body in grammar.productions:
+        for idx, symbol in enumerate(body):
+            if symbol not in terminals and all(s in nullable for s in body[:idx] + body[idx + 1:]):
+                units.setdefault(head, []).append(symbol)
+    closure = {nt: _reach(units, nt) for nt in grammar.nonterminals}
+    # symbol -> its words of each length so far: below n while length n grows
+    words = {t: [set(), {t}] for t in terminals}
+    words.update((nt, [{""} if nt in nullable else set()]) for nt in grammar.nonterminals)
+    for n in range(1, max_len + 1):
+        joined: dict[str, set[str]] = {nt: set() for nt in grammar.nonterminals}
         for head, body in grammar.productions:
-            acc = {""}
+            acc = {0: {""}}  # length -> the prefixes of that length
             for symbol in body:
-                if symbol in grammar.terminals:
-                    acc = {w + symbol for w in acc if len(w) < max_len}
-                else:
-                    acc = {
-                        w + u
-                        for w in acc
-                        for u in known[symbol]
-                        if len(w) + len(u) <= max_len
-                    }
-                if not acc:
-                    break
-            new = acc - known[head]
-            if new:
-                known[head] |= new
-                changed = True
-    return set(known[grammar.start])
+                grown: dict[int, set[str]] = {}
+                for length, prefixes in acc.items():
+                    # a nonterminal never takes all of n here: the unit closure does
+                    for size, tails in enumerate(words[symbol][: n - length + 1]):
+                        if tails:
+                            grown.setdefault(length + size, set()).update(
+                                w + u for w in prefixes for u in tails
+                            )
+                acc = grown
+            joined[head] |= acc.get(n, set())
+        for nt in grammar.nonterminals:
+            words[nt].append(set().union(*(joined[b] for b in closure[nt])))
+    return set().union(*words[grammar.start])
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +358,7 @@ def format_tree(tree: DerivationTree, indent: int = 0) -> str:
 
 class _Rule(NamedTuple):
     # a piece of the binarised grammar in symbol ids, and its source production
+    # (for a shared auxiliary's rule, the first production that needed it)
     head: int
     body: tuple[int, ...]
     production: Production
@@ -359,7 +369,8 @@ class _Tables(NamedTuple):
     aux: int  # ids from here on are auxiliaries
     start: int
     seeds: dict[str, tuple[int, ...]]  # terminal t -> every A with A ~>* t
-    # right child C -> ((left child B, every A' ~>* A over the rules A -> B C), ...)
+    # right child C -> ((left child B, every A' ~>* A over the rules A -> B C), ...);
+    # a terminal's entry merges, by B, those of every symbol it seeds
     by_right: dict[int, tuple[tuple[int, tuple[int, ...]], ...]]
     # closing terminal u -> ((opening terminal t's id, middle X, 1 if X is
     # nullable else 0, every A' ~>* A over the brackets A -> t X u), ...)
@@ -374,19 +385,27 @@ def _chart_tables(grammar: Grammar) -> _Tables:
     """Binarise the caller's productions, keeping unit and epsilon rules: a
     body t X u, terminals at both ends around any one symbol, stays whole as
     a bracket; any other body longer than two becomes a right-branching run
-    through fresh auxiliaries.  A ~> B when A -> B, or A -> B C or A -> C B
-    with C nullable.  Rule lists keep production order."""
+    through auxiliaries, one per distinct body suffix (the sharing of Song,
+    Ding and Lin, "Better Binarization for the CKY Parsing", 2008), so a
+    run stops at the first suffix that already has one.  Each production
+    keeps the shape it would have unshared.  A ~> B when A -> B, or A -> B C
+    or A -> C B with C nullable.  Rule lists keep production order."""
     terminals = tuple(sorted(grammar.terminals))
     ids = {s: i for i, s in enumerate(terminals + tuple(sorted(grammar.nonterminals)))}
     size = aux = len(ids)
     rules: list[_Rule] = []
+    suffixes: dict[tuple[int, ...], int] = {}  # body suffix -> its auxiliary
     for production in grammar.productions:
-        head, body = ids[production.head], [ids[s] for s in production.body]
+        head, body = ids[production.head], tuple(ids[s] for s in production.body)
         bracket = len(body) == 3 and body[0] < len(terminals) and body[2] < len(terminals)
         while len(body) > 2 and not bracket:
-            rules.append(_Rule(head, (body[0], size), production))
+            tail = suffixes.setdefault(body[1:], size)
+            rules.append(_Rule(head, (body[0], tail), production))
+            if tail < size:
+                break  # the run of this suffix is already there
             head, body, size = size, body[1:], size + 1
-        rules.append(_Rule(head, tuple(body), production))
+        else:
+            rules.append(_Rule(head, body, production))
 
     # each nullable symbol's fixed epsilon tree; an auxiliary's run of them
     eps: dict[int, tuple[DerivationTree, ...]] = {}
@@ -424,6 +443,14 @@ def _chart_tables(grammar: Grammar) -> _Tables:
                 up[rule.head]
             )
     seeds = {t: tuple(sorted(up[ids[t]])) for t in terminals}
+    # a push sets every seed at the one start j-1, so the terminal's one work
+    # item combines them all; no terminal seeds another
+    for t in terminals:
+        merged: dict[int, set[int]] = {}
+        for c in up[ids[t]]:
+            for b, heads in by_right.get(c, {}).items():
+                merged.setdefault(b, set()).update(heads)
+        by_right[ids[t]] = merged
     pairs = {c: tuple((b, tuple(sorted(a))) for b, a in bs.items()) for c, bs in by_right.items()}
     brackets = {
         u: tuple((t, x, int(x in eps), tuple(sorted(a))) for (t, x), a in opens.items())
@@ -443,11 +470,14 @@ class _Chart:
     A push seeds the new column at start j-1 and sets the heads of the
     brackets A -> t X u closed by the pushed u: their starts are, in one
     step, the positions of t shifted down from the starts of X on
-    [i+1, j-1) (and from j-1 itself when X is nullable).  It then visits the
-    starts with new entries from the highest down: each symbol C new on
-    [k, j) combines with the finished column k through the rules A -> B C.
-    Starts only go down, so every cell is final before it is read; the work
-    follows the cells that are set."""
+    [i+1, j-1) (and from j-1 itself when X is nullable).  It then closes the
+    column over a work list that maps each symbol C that is the right child
+    of some rule to its starts not yet combined (the terminal's entry stands
+    for every seed): each start k of C combines with the finished column k
+    through the rules A -> B C.  A push reads only finished columns, since
+    B on [i, k) and C on [k, j) are both nonempty and a bracket reads column
+    j-1, so any order reaches the same least fixpoint; the work follows the
+    cells that are set."""
 
     __slots__ = ("_tables", "_cols", "_pos")
 
@@ -464,10 +494,11 @@ class _Chart:
             raise GrammarError(f"symbol {symbol!r} is not a terminal of this grammar")
         by_right, cols, pos = tables.by_right, self._cols, self._pos
         first = len(cols) - 1
-        pending = bit = 1 << first
+        bit = 1 << first
         col = dict.fromkeys(seeds, bit)
-        # start k -> the symbols set on [k, j) and not yet combined
-        found = {first: list(seeds)}
+        # right child C -> its starts set in this column and not yet combined;
+        # the terminal's entry stands for all its seeds
+        todo = {seeds[0]: bit}
         last = cols[first]
         for t, x, nullable, heads in tables.brackets.get(symbol, ()):
             # t at i, and X on [i+1, j-1), or empty there when nullable
@@ -478,17 +509,16 @@ class _Chart:
                     new = starts & ~old
                     if new:
                         col[a] = old | new
-                        pending |= new
-                        while new:
-                            low = new & -new
-                            new ^= low
-                            found.setdefault(low.bit_length() - 1, []).append(a)
-        while pending:
-            k = pending.bit_length() - 1
-            pending ^= 1 << k
-            left = cols[k]
-            for c in found.pop(k):
-                for b, heads in by_right.get(c, ()):
+                        if a in by_right:
+                            todo[a] = todo.get(a, 0) | new
+        while todo:
+            c, ks = todo.popitem()
+            pairs = by_right[c]
+            while ks:
+                low = ks & -ks
+                ks ^= low
+                left = cols[low.bit_length() - 1]
+                for b, heads in pairs:
                     starts = left.get(b)
                     if starts:
                         for a in heads:
@@ -496,11 +526,8 @@ class _Chart:
                             new = starts & ~old
                             if new:
                                 col[a] = old | new
-                                pending |= new
-                                while new:
-                                    low = new & -new
-                                    new ^= low
-                                    found.setdefault(low.bit_length() - 1, []).append(a)
+                                if a in by_right:
+                                    todo[a] = todo.get(a, 0) | new
         cols.append(col)
         pos[seeds[0]] |= bit  # seeds[0] is the terminal: the lowest id of its closure
 

@@ -19,6 +19,8 @@ from fimcowp import (
     cyk_member,
     derive,
     enumerate_language,
+    enumerate_marked,
+    enumerate_words,
     format_tree,
     free_reduce,
     grammar_stats,
@@ -276,6 +278,87 @@ def test_chart_and_derive_match_enumeration_on_random_grammars(grammar):
         tree = derive(grammar, word)
         assert (tree is not None) == member, word
         assert tree is None or is_derivation(tree, grammar, word), word
+
+
+def assert_cells_mean_derivability(grammar, max_len):
+    """After the pushes of each word of length max_len, the cell of every
+    original symbol on [i, j), j > i, is set exactly when w[i:j] is in the
+    language of the grammar restarted at that symbol; and no two
+    auxiliaries share a body."""
+    tables = _chart_tables(grammar)
+    names = [*tables.terminals, *sorted(grammar.nonterminals)]  # the ids below tables.aux
+    assert len(names) == tables.aux
+    languages = [
+        {name} if name in grammar.terminals else enumerate_language(
+            Grammar(grammar.terminals, grammar.nonterminals, grammar.productions, name), max_len)
+        for name in names
+    ]
+    for word in all_strings(grammar.terminals, max_len):
+        chart = _Chart(grammar)
+        for symbol in word:
+            chart.push(symbol)
+        for j in range(1, len(word) + 1):
+            col = chart._cols[j]
+            for symbol, language in enumerate(languages):
+                expected = sum(1 << i for i in range(j) if word[i:j] in language)
+                assert col.get(symbol, 0) == expected, (word, j, names[symbol])
+    bodies = [rule.body for head, rules in tables.binary.items() if head >= tables.aux
+              for rule in rules]
+    assert len(set(bodies)) == len(bodies)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_grammars())
+@example(BRACKETS)
+def test_chart_cells_mean_derivability_on_random_grammars(grammar):
+    assert_cells_mean_derivability(grammar, 5)
+
+
+def test_chart_cells_mean_derivability_on_table_grammars():
+    names = [n for n in LANGUAGES if n != ZX] + ["Zx:a", "Zx:A"]
+    for name in names:
+        assert_cells_mean_derivability(language(name, 1).grammar(), 5)
+
+
+# sha256 of the accepted items of each universe at rank 2 (those up to the
+# length bound that the oracle accepts), each with the format_tree text of
+# its derivation, recorded before auxiliaries were shared: sharing must not
+# change any tree
+TREE_BOUNDS = {"E": 8, "Zx:a": 8, "K1": 5, "K2": 5, "coWP-FG": 4, "coWP-FIM": 4}
+TREE_SHA256 = {
+    "E": "62f6dfdbb0443842406cc9dcc54389b45e75ba6637a2773d8f45e8d7f928d2bd",
+    "Zx:a": "7f21166384ef09fd8f5e842a7977b8703b82327a1ed61a5d566bf2ac2b6cdf36",
+    "K1": "04269b215bc9a159e3c9e2c6b952de22c77435742820586f72942bfa5a908986",
+    "K2": "91843f080b820f109d26ccf0416ad61724217c07d7a801549d750b26ee27d4cd",
+    "coWP-FG": "99764bf8cb9adc03f4372a609746df8f8c5c40726d6f90ce27239bfd9037d57a",
+    "coWP-FIM": "d6a0f89f11859418fb4752b28c83b499975d501ec43063c29a485e26a014f06b",
+}
+
+
+def test_derivation_trees_are_pinned():
+    count = 0
+    for name, bound in TREE_BOUNDS.items():
+        row = language(name, 2)
+        grammar, digest = row.grammar(), hashlib.sha256()
+        universe = enumerate_marked(2, bound) if row.marked else enumerate_words(2, bound)
+        for item in filter(row.oracle, universe):
+            text = str(item)
+            digest.update(f"{text}\n{format_tree(derive(grammar, text))}\n\n".encode())
+            count += 1
+        assert digest.hexdigest() == TREE_SHA256[name], name
+    assert count == 6788
+
+
+def test_auxiliaries_are_one_per_body_suffix():
+    # bracket bodies take none; the other bodies longer than two share them
+    counts = {("E", 2): 0, ("Zx:a", 2): 0, ("K1", 2): 116, ("coWP-FIM", 2): 259}
+    for (name, rank), count in counts.items():
+        tables = _chart_tables(language(name, rank).grammar())
+        auxiliaries = {head: rules for head, rules in tables.binary.items() if head >= tables.aux}
+        assert len(auxiliaries) == count, name
+        assert all(len(rules) == 1 for rules in auxiliaries.values()), name
+        bodies = {rules[0].body for rules in auxiliaries.values()}
+        assert len(bodies) == count, name
 
 
 def test_derive_trees_are_derivations_on_all_grammars():

@@ -563,13 +563,14 @@ class _Chart:
             return tables.eps[tables.start][0]
         # frames (production, or None for an auxiliary, items left, children
         # so far), kept on a stack since trees are as deep as words are long
+        word = [next(iter(col)) for col in self._cols[1:]]  # a column's first key is its terminal
         top: list[DerivationTree | str] = []
         stack = [(None, iter([(tables.start, 0, n)]), top)]
         while stack:
             production, items, children = stack[-1]
             item = next(items, None)
             if isinstance(item, tuple):
-                rule, parts = self._step(*item)
+                rule, parts = self._step(*item, word)
                 stack.append((rule.production if item[0] < tables.aux else None, iter(parts), []))
             elif item is not None:
                 children.append(item)
@@ -581,37 +582,27 @@ class _Chart:
                     ])
         return top[0]
 
-    def _step(self, x: int, i: int, j: int) -> tuple[_Rule, list]:
+    def _step(self, x: int, i: int, j: int, word: list[int]) -> tuple[_Rule, list]:
         """The rule that opens x's derivation of w[i:j], and its children:
         terminals, epsilon trees and spans still to expand.  Follows the
         shortest unit chain to a symbol set by a terminal or by a binary
-        split, takes the lowest split, and breaks ties by production order.
-        A bracket t X u splits at i + 1."""
-        tables, cols, cell = self._tables, self._cols, self._cols[j]
+        split, and takes that symbol's split (see _split).  `word` holds the
+        terminal ids of w."""
+        tables = self._tables
+        split = self._split(x, i, j, word)
+        if split is not None:
+            k, rule = split
+            if len(rule.body) == 3:
+                t, m, u = rule.body
+                middle = [self._item(m, k, j - 1)] if k < j - 1 else list(tables.eps[m])
+                return rule, [self._item(t, i, k), *middle, self._item(u, j - 1, j)]
+            return rule, [self._item(rule.body[0], i, k), self._item(rule.body[1], k, j)]
+        cell = self._cols[j]
         seen = {x}
         # (symbol, first step of the chain from x to it)
         queue: list[tuple[int, tuple[_Rule, int] | None]] = [(x, None)]
         for y, first in queue:  # breadth first, so the chain is shortest
-            split = None
-            for rule in tables.binary.get(y, ()):
-                if len(rule.body) == 3:
-                    t, m, u = rule.body
-                    middle = (cols[j - 1].get(m, 0) >> (i + 1) & 1 if i + 2 < j
-                              else i + 2 == j and m in tables.eps)
-                    if (middle and cols[i + 1].get(t, 0) >> i & 1 and cell.get(u, 0) >> (j - 1) & 1
-                            and (split is None or split[0] > i + 1)):
-                        split = (i + 1, rule)
-                    continue
-                b, c = rule.body
-                ks = cell.get(c, 0) >> (i + 1) << (i + 1)
-                while ks:
-                    k = (ks & -ks).bit_length() - 1
-                    if cols[k].get(b, 0) >> i & 1:
-                        if split is None or k < split[0]:
-                            split = (k, rule)
-                        break
-                    ks &= ks - 1
-            if split or y < len(tables.terminals):
+            if first is not None and (y < len(tables.terminals) or self._split(y, i, j, word)):
                 break
             for rule, pos in tables.unit.get(y, ()):
                 z = rule.body[pos]
@@ -620,40 +611,85 @@ class _Chart:
                     queue.append((z, first or (rule, pos)))
         else:
             raise AssertionError("a chart cell is set without a derivation")
-        if first is None:
-            k, rule = split
-            if len(rule.body) == 3:
-                t, m, u = rule.body
-                middle = [self._item(m, k, j - 1)] if k < j - 1 else list(tables.eps[m])
-                return rule, [self._item(t, i, k), *middle, self._item(u, j - 1, j)]
-            return rule, [self._item(rule.body[0], i, k), self._item(rule.body[1], k, j)]
         rule, pos = first
         child = [self._item(rule.body[pos], i, j)]
         nullable = list(tables.eps[rule.body[1 - pos]]) if len(rule.body) == 2 else []
         return rule, child + nullable if pos == 0 else nullable + child
+
+    def _split(self, y: int, i: int, j: int, word: list[int]) -> tuple[int, _Rule] | None:
+        """The lowest split k of y's derivation of w[i:j] by a bracket or a
+        rule with two children, and the first such rule in production order
+        at k; None when there is none.  A bracket t X u splits at i + 1, the
+        lowest split there is, and only where w[i] is t and w[j-1] is u."""
+        tables, cols = self._tables, self._cols
+        cell, low = cols[j], i + 1
+        best = None
+        window = (1 << j) - (1 << low)  # the splits still to beat: low <= k < j
+        for rule in tables.binary.get(y, ()):
+            if len(rule.body) == 3:
+                t, m, u = rule.body
+                if t == word[i] and u == word[j - 1] and (
+                    cols[j - 1].get(m, 0) >> low & 1 if low < j - 1
+                    else low == j - 1 and m in tables.eps
+                ):
+                    return low, rule
+                continue
+            b, c = rule.body
+            ks = cell.get(c, 0) & window
+            while ks:
+                bit = ks & -ks
+                k = bit.bit_length() - 1
+                if cols[k].get(b, 0) >> i & 1:
+                    if k == low:
+                        return k, rule
+                    best, window = (k, rule), bit - (1 << low)
+                    break
+                ks ^= bit
+        return best
 
     def _item(self, symbol: int, i: int, j: int) -> str | tuple[int, int, int]:
         names = self._tables.terminals
         return names[symbol] if symbol < len(names) else (symbol, i, j)
 
 
-def cyk_member(grammar: Grammar, word: Sequence[str]) -> bool:
-    """Membership: a fresh chart with every symbol pushed."""
+# (grammar, word, chart) of the last word parsed, or None; `derive` reads the
+# chart that `cyk_member` filled for the same word.  A chart is never pushed
+# to once it is here, so a caller holding one while another call replaces the
+# slot still reads a whole chart
+_last_parse: tuple[Grammar, str | tuple[str, ...], _Chart] | None = None
+
+
+def _parsed(grammar: Grammar, word: Sequence[str]) -> _Chart:
+    """The chart with every symbol of the word pushed: the last one built,
+    when it was for this grammar (the same object) and an equal word, or a
+    new one that takes its place.  Raises GrammarError on a symbol off the
+    alphabet and then keeps no chart."""
+    global _last_parse
+    key = word if isinstance(word, str) else tuple(word)
+    last = _last_parse
+    if last is not None and last[0] is grammar and last[1] == key:
+        return last[2]
+    _last_parse = None
     chart = _Chart(grammar)
-    for symbol in word:
+    for symbol in key:
         chart.push(symbol)
-    return chart.accepts()
+    _last_parse = (grammar, key, chart)
+    return chart
+
+
+def cyk_member(grammar: Grammar, word: Sequence[str]) -> bool:
+    """Membership: whether the chart of the word (see _parsed) accepts."""
+    return _parsed(grammar, word).accepts()
 
 
 def derive(grammar: Grammar, word: Sequence[str]) -> DerivationTree | None:
     """One derivation tree for the word in the grammar's own productions,
     read out of the membership chart, or None when the word is not
     generated (including symbols off the alphabet)."""
-    chart = _Chart(grammar)
-    for symbol in word:
-        if symbol not in grammar.terminals:
-            return None
-        chart.push(symbol)
+    try:
+        chart = _parsed(grammar, word)
+    except GrammarError:
+        return None
     return chart.tree()
 
 

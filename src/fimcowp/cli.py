@@ -1,7 +1,9 @@
 """Command-line surface: decide, grammar, parse, enumerate, crosscheck, munn.
 
 Exit codes are uniform: 0 for true/accept/clean, 1 for false/reject or a
-crosscheck with disagreements, 2 for usage or word-syntax errors.
+crosscheck with disagreements, 2 for usage or word-syntax errors, and 141
+(128 + SIGPIPE, as for a process the signal ends) when stdout is closed
+before the output is written.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ HARD_CAP_DEFAULT = 14
 
 # the longest word parse and munn take.  Chart time and munn's output grow
 # about as the square of the length on the costliest words: at this length
-# (aA)^1000 under E takes about 2 s, and (aA)^500 # (aA)^499 a under coWP-FIM
+# (aA)^1000 under E takes about 1 s, and (aA)^500 # (aA)^499 a under coWP-FIM
 # at rank 2 about a minute
 PARSE_CAP = 2000
 
@@ -112,16 +114,10 @@ def _cmd_grammar(args: argparse.Namespace) -> int:
 
 def _cmd_parse(args: argparse.Namespace) -> int:
     grammar = resolve_grammar(args.which, args.rank)
-    tree = None
-    if args.tree and set(args.word) <= grammar.terminals:
-        # one parse: derive returns None exactly when the word is rejected
-        tree = cfg.derive(grammar, args.word)
-        accepted = tree is not None
-    else:
-        accepted = cfg.cyk_member(grammar, args.word)  # raises on a foreign symbol
+    accepted = cfg.cyk_member(grammar, args.word)  # raises on a foreign symbol
     print("accept" if accepted else "reject")
-    if tree is not None:
-        print(cfg.format_tree(tree))
+    if accepted and args.tree:
+        print(cfg.format_tree(cfg.derive(grammar, args.word)))  # reads the same chart
     return 0 if accepted else 1
 
 
@@ -209,10 +205,18 @@ def main(argv: list[str] | None = None) -> int:
         if len(getattr(args, "word", "")) > PARSE_CAP:  # parse and munn
             raise ValueError(f"word of {len(args.word)} symbols exceeds the "
                              f"{args.command} cap {PARSE_CAP}")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe shows here and not at exit
+        return code
     except (words.WordSyntaxError, cfg.GrammarError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader stopped early (`| head`): send what is still buffered to
+        # devnull, so that the flush at exit cannot fail again, and end as a
+        # process killed by SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 128 + 13
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import weakref
 from itertools import product
 from pathlib import Path
 
@@ -38,6 +39,7 @@ from fimcowp import (
     to_cnf,
     union_grammar,
 )
+from fimcowp import cfg
 from fimcowp.cfg import _Chart, _chart_tables
 from fimcowp.fim_grammars import LANGUAGES, ZX, _pool
 from fimcowp.words import MAX_RANK, alphabet
@@ -534,6 +536,79 @@ def test_derive_frontier_matches_membership():
                 assert tree.frontier() == w
                 assert tree.root == g.start
 
+
+
+def test_derive_reads_the_chart_of_the_last_parse():
+    g = idempotent_grammar(2)
+    for w in ["aAbB", "abBA" * 3, "aAbBBbAa", "abAaBbBA"]:
+        cyk_member(K1, "aA#")  # another grammar
+        fresh = format_tree(derive(g, w))
+        cyk_member(g, "bB")  # another word
+        after_other_word = format_tree(derive(g, w))
+        assert cyk_member(g, w)
+        chart = cfg._parsed(g, w)
+        assert format_tree(derive(g, w)) == fresh == after_other_word
+        assert cfg._parsed(g, w) is chart  # read, not parsed again
+
+
+def test_shared_chart_is_kept_for_the_same_grammar_object():
+    g, twin = tiny([("S", "aSb"), ("S", "")]), tiny([("S", "aSb"), ("S", "")])
+    assert g == twin and g is not twin
+    chart = cfg._parsed(g, "aabb")
+    assert cfg._parsed(g, "aabb") is chart
+    assert cfg._parsed(twin, "aabb") is not chart
+    assert cfg._parsed(g, "aabb") is not chart
+
+
+@pytest.fixture
+def weak_charts(monkeypatch):
+    """Charts that a weakref can follow; _Chart's own slots leave it out."""
+    class WeakChart(_Chart):
+        __slots__ = ("__weakref__",)
+
+    monkeypatch.setattr(cfg, "_Chart", WeakChart)
+    return WeakChart
+
+
+def test_shared_chart_keeps_one_chart(weak_charts):
+    first = weakref.ref(cfg._parsed(E1, "aA"))
+    assert cyk_member(E1, "aA") and derive(E1, "aA") is not None
+    assert isinstance(first(), weak_charts)
+    assert not cyk_member(E1, "aAa")
+    assert first() is None
+
+
+def test_failed_parse_keeps_no_chart(weak_charts):
+    assert cyk_member(E1, "aA")
+    first = weakref.ref(cfg._parsed(E1, "aA"))
+    with pytest.raises(GrammarError):
+        cyk_member(E1, "aAb")
+    assert first() is None and cfg._last_parse is None
+    assert derive(E1, "aAb") is None and cfg._last_parse is None
+    with pytest.raises(GrammarError):
+        cyk_member(E1, "aAb")
+
+
+def test_cyk_member_and_derive_take_any_sequence():
+    for g in (E1, K1):
+        for w in all_strings(g.terminals, 4):
+            tree = derive(g, w)
+            text = None if tree is None else format_tree(tree)
+            listed = derive(g, list(w))
+            assert (None if listed is None else format_tree(listed)) == text
+            assert cyk_member(g, list(w)) == cyk_member(g, w) == (tree is not None)
+    # one symbol of two letters is off the alphabet, even right after "aA"
+    for word in (["aA"], ("aA",)):
+        assert cyk_member(E1, "aA")
+        with pytest.raises(GrammarError):
+            cyk_member(E1, word)
+        assert cyk_member(E1, "aA")
+        assert derive(E1, word) is None
+    # a list changed in place is parsed again
+    word = ["a", "A"]
+    assert cyk_member(E1, word)
+    word.append("a")
+    assert not cyk_member(E1, word) and derive(E1, word) is None
 
 def test_format_tree():
     tree = derive(E1, "aA")

@@ -341,3 +341,26 @@ def test_munn_bad_word(capsys):
 def test_usage_error_exit_code(capsys):
     assert main(["bogus-command"]) == 2
     assert main(["decide", "--rank", "1"]) == 2  # missing required args
+
+
+@pytest.mark.parametrize("argv, first", [
+    (["enumerate", "--rank", "2", "--which", "E", "--max-len", "10"], b"\n"),
+    (["parse", "--rank", "1", "--which", "E", "--tree", "aA" * 400], b"accept\n"),
+])
+def test_closed_stdout_ends_quietly(argv, first):
+    # both print far more than a pipe holds, so the writer meets the closed end
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, "-m", "fimcowp.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        line = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert line == first
+    assert err == b"" and code == 141

@@ -30,7 +30,7 @@ class Production(NamedTuple):
     body: tuple[str, ...]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Grammar:
     terminals: frozenset[str]
     nonterminals: frozenset[str]
@@ -63,20 +63,8 @@ class Grammar:
                 if symbol not in declared:
                     raise GrammarError(f"undeclared symbol {symbol!r} in production for {head!r}")
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, Grammar):
-            return NotImplemented
-        return (
-            self._hash == other._hash
-            and self.start == other.start
-            and self.terminals == other.terminals
-            and self.nonterminals == other.nonterminals
-            and self.productions == other.productions
-        )
-
     def __hash__(self) -> int:
+        # dataclass generates __eq__ over the four fields and keeps this hash
         return self._hash
 
 
@@ -272,29 +260,28 @@ def enumerate_language(grammar: Grammar, max_len: int) -> set[str]:
 
 @dataclass(frozen=True, eq=False, repr=False)
 class DerivationTree:
-    """A node and its children, terminals as strings.  Every walk, equality,
-    hashing and repr included, uses an explicit stack, so depth is not
-    limited by the recursion limit."""
+    """A node and its children, terminals as strings.  Every walk, equality
+    and hashing included, is the one pre-order walk `_walk`, and repr keeps
+    its own; both use an explicit stack, so depth is not limited by the
+    recursion limit."""
 
     root: str
     production: Production
     children: tuple[Union["DerivationTree", str], ...]
 
-    def _nodes(self) -> Iterator["DerivationTree"]:
-        """The nodes in pre-order."""
-        stack = [self]
+    def _walk(self, depth: int = 0) -> Iterator[tuple[int, DerivationTree | str]]:
+        """(depth, node or leaf) in pre-order, this node at `depth`."""
+        stack: list[tuple[int, DerivationTree | str]] = [(depth, self)]
         while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(c for c in reversed(node.children) if isinstance(c, DerivationTree))
+            depth, node = stack.pop()
+            yield depth, node
+            if not isinstance(node, str):
+                stack.extend((depth + 1, child) for child in reversed(node.children))
 
     def _key(self) -> tuple:
-        # the nodes in pre-order, each with its children's shape, fix the tree
-        return tuple(
-            (n.root, n.production, tuple(None if isinstance(c, DerivationTree) else c
-                                         for c in n.children))
-            for n in self._nodes()
-        )
+        # the labels in pre-order, each with its depth, fix an ordered tree
+        return tuple((depth, node if isinstance(node, str) else (node.root, node.production))
+                     for depth, node in self._walk())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DerivationTree):
@@ -322,33 +309,22 @@ class DerivationTree:
         return "".join(out)
 
     def frontier(self) -> str:
-        out: list[str] = []
-        stack: list[DerivationTree | str] = [self]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, str):
-                out.append(node)
-            else:
-                stack.extend(reversed(node.children))
-        return "".join(out)
+        return "".join(node for _, node in self._walk() if isinstance(node, str))
 
     def productions(self) -> list[Production]:
         """Pre-order trace of the productions applied."""
-        return [node.production for node in self._nodes()]
+        return [node.production for _, node in self._walk() if not isinstance(node, str)]
 
 
 def format_tree(tree: DerivationTree, indent: int = 0) -> str:
     lines = []
-    stack: list[tuple[DerivationTree | str, int]] = [(tree, indent)]
-    while stack:
-        node, depth = stack.pop()
+    for depth, node in tree._walk(indent):
         pad = "  " * depth
         if isinstance(node, str):
             lines.append(pad + node)
-            continue
-        body = " ".join(node.production.body) if node.production.body else EPSILON_TOKEN
-        lines.append(f"{pad}{node.root} -> {body}")
-        stack.extend((child, depth + 1) for child in reversed(node.children))
+        else:
+            body = " ".join(node.production.body) if node.production.body else EPSILON_TOKEN
+            lines.append(f"{pad}{node.root} -> {body}")
     return "\n".join(lines)
 
 

@@ -220,8 +220,10 @@ def language(which: str, rank: int) -> Language:
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _pool(rank: int, which: str, cap: int) -> tuple[str, ...]:
-    """The words of length <= 2*cap of a word language of LANGUAGES."""
-    return tuple(filter(language(which, rank).oracle, enumerate_words(rank, 2 * cap)))
+    """The words of length <= 2*cap of E or of a Zx, in enumerate_words
+    order; every Zx word is an E word, so a Zx pool filters E's."""
+    words = enumerate_words(rank, 2 * cap) if which == "E" else _pool(rank, "E", cap)
+    return tuple(filter(language(which, rank).oracle, words))
 
 
 def sample_kmn(rank: int, m: int, n: int, seed: int, cap: int = 2) -> MarkedWord:

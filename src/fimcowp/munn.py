@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import defaultdict
 from itertools import islice
 
-from .words import EPSILON_TOKEN, MarkedWord, free_reduce, symbol_sort_key
+from .words import EPSILON_TOKEN, MarkedWord, free_reduce, rev_invert, symbol_sort_key
 
 # A trie is (children, parents, inverses): children maps parent << 7 | code
 # to the child's id, where code is a letter's ASCII code; parents[i] and
@@ -53,10 +53,10 @@ def _walk(data: bytes, children: dict, parents: list, inverses: bytearray) -> in
     return node
 
 
-def _read(word: str) -> tuple[tuple[dict, list, bytearray], int]:
+def _read(word: str) -> tuple[dict, list, bytearray, int]:
     """A fresh trie with word read into it, and the endpoint's id."""
     trie: tuple[dict, list, bytearray] = ({}, [0], bytearray(1))
-    return trie, _walk(_codes(word), *trie)
+    return *trie, _walk(_codes(word), *trie)
 
 
 class MunnTree:
@@ -70,23 +70,12 @@ class MunnTree:
     __slots__ = ("_children", "_parents", "_inverses", "_end", "_edges", "_hash")
 
     def __init__(self, edges: frozenset[str], terminal: str) -> None:
-        """The tree with these non-root vertices and this endpoint."""
+        """The tree of a word that visits each of these non-root vertices
+        and comes back, then walks to this endpoint."""
         edges = frozenset(edges)
-        children: dict[int, int] = {}
-        parents, inverses = [0], bytearray(1)
-        ids = {"": 0}
-        for vertex in sorted(edges, key=len):
-            data = _codes(vertex)
-            parent = ids.get(vertex[:-1])
-            if not data or parent is None or data[-1] == inverses[parent]:
-                raise ValueError(f"not a prefix-closed set of reduced words: {vertex!r}")
-            ids[vertex] = children[parent << 7 | data[-1]] = len(parents)
-            parents.append(parent)
-            inverses.append(data[-1] ^ 32)
-        if terminal not in ids:
-            raise ValueError(f"terminal {terminal!r} is not a vertex")
-        self._set(children, parents, inverses, ids[terminal])
-        self._edges = edges
+        self._set(*_read("".join(v + rev_invert(v) for v in edges) + terminal))
+        if self.edges != edges or self.terminal != terminal:
+            raise ValueError(f"not a prefix-closed set of reduced words ending at {terminal!r}")
 
     def _set(self, children, parents, inverses, end) -> None:
         self._children, self._parents, self._inverses, self._end = (
@@ -155,8 +144,7 @@ def _tree(children, parents, inverses, end) -> MunnTree:
 
 
 def build_munn(word: str) -> MunnTree:
-    trie, end = _read(word)
-    return _tree(*trie, end)
+    return _tree(*_read(word))
 
 
 def munn_product(s: MunnTree, t: MunnTree) -> MunnTree:
@@ -191,14 +179,14 @@ def avoids(word: str, x: str) -> bool:
     one-letter vertex x."""
     if len(x) != 1 or not (x.isascii() and x.isalpha()):
         raise ValueError(f"expected one letter, got {x!r}")
-    (children, _, _), _ = _read(word)
+    children, *_ = _read(word)
     return ord(x) not in children
 
 
 def fim_equal(u: str, v: str) -> bool:
     """Reads u, then v on u's trie: equal when v adds no node, visits every
     node and ends at u's endpoint."""
-    (children, parents, inverses), end = _read(u)
+    children, parents, inverses, end = _read(u)
     get = children.get
     seen = bytearray(len(parents))
     seen[0] = 1
@@ -220,7 +208,7 @@ def fim_equal(u: str, v: str) -> bool:
 def in_k1(u: str, v: str) -> bool:
     """Equal in the free group, but u's tree has an edge v's tree lacks:
     reading u after v ends where v does and adds a node."""
-    (children, parents, inverses), end = _read(v)
+    children, parents, inverses, end = _read(v)
     size = len(parents)
     return _walk(_codes(u), children, parents, inverses) == end and len(parents) > size
 

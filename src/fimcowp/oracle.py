@@ -78,16 +78,14 @@ class CrosscheckReport:
         }
 
 
-def _check_block(
-    grammar: Grammar, predicate: Callable, items: Iterable
-) -> tuple[int, int, int, int, list[str], list[str]]:
+def _check_block(grammar: Grammar, predicate: Callable, items: Iterable) -> tuple[list, list]:
     """Check each item on one chart: pop back to the longest common prefix
     with the previous item's text, then push the rest.  Neighbours in
     length-then-lex order share most of their prefix; any order is correct.
-    The prefix is found by halving, each step one slice compare."""
-    total = agree = fa_count = fr_count = 0
-    false_accepts: list[str] = []
-    false_rejects: list[str] = []
+    The prefix is found by halving, each step one slice compare.  Returns
+    [false rejects, false accepts, agreements] and the earliest examples of
+    the first two: a disagreement is filed under the chart's answer."""
+    counts, examples = [0, 0, 0], [[], []]
     chart = _Chart(grammar)
     previous = ""
     for item in items:
@@ -105,21 +103,14 @@ def _check_block(
             chart.push(symbol)
         previous = text
         accepted = chart.accepts()
-        expected = bool(predicate(item))
-        total += 1
-        if accepted == expected:
-            agree += 1
-        elif accepted:
-            fa_count += 1
-            false_accepts.append(text)
-            if len(false_accepts) == 2 * EXAMPLE_CAP:
-                false_accepts = _smallest(false_accepts)
-        else:
-            fr_count += 1
-            false_rejects.append(text)
-            if len(false_rejects) == 2 * EXAMPLE_CAP:
-                false_rejects = _smallest(false_rejects)
-    return total, agree, fa_count, fr_count, _smallest(false_accepts), _smallest(false_rejects)
+        if accepted == bool(predicate(item)):
+            counts[2] += 1
+            continue
+        counts[accepted] += 1
+        examples[accepted].append(text)
+        if len(examples[accepted]) == 2 * EXAMPLE_CAP:
+            examples[accepted] = _smallest(examples[accepted])
+    return counts, [_smallest(found) for found in examples]
 
 
 def _smallest(examples: list[str]) -> list[str]:
@@ -183,12 +174,12 @@ def crosscheck(
         blocks: Iterable[tuple] = [_check_block(grammar, predicate, universe)]
     else:
         blocks = _pooled_blocks(grammar, predicate, universe, jobs)
-    counts, fas, frs = [0, 0, 0, 0], [], []
-    for *block_counts, fa, fr in blocks:
+    counts, examples = [0, 0, 0], [[], []]
+    for block_counts, block_examples in blocks:
         counts = [x + y for x, y in zip(counts, block_counts)]
         # each block keeps its earliest counterexamples, so the earliest
         # overall are among them
-        fas, frs = _smallest(fas + fa), _smallest(frs + fr)
-    total, agree, fa_count, fr_count = counts
+        examples = [_smallest(x + y) for x, y in zip(examples, block_examples)]
+    (frs, fas), (fr_count, fa_count, agree) = examples, counts
     elapsed_ms = (time.perf_counter() - started) * 1000.0
-    return CrosscheckReport(total, agree, fas, frs, fa_count, fr_count, elapsed_ms)
+    return CrosscheckReport(sum(counts), agree, fas, frs, fa_count, fr_count, elapsed_ms)

@@ -635,6 +635,17 @@ def test_deep_tree_equality_hash_and_repr():
     assert repr(a).count("DerivationTree(") == 5001
 
 
+def test_trees_with_the_same_preorder_labels_but_other_nesting_differ():
+    # S(T(a, b)) against S(T(a), b): one pre-order of labels, two shapes
+    leaf = DerivationTree("T", Production("T", ("a",)), ("a",))
+    deep = DerivationTree("S", Production("S", ("T",)),
+                          (DerivationTree("T", Production("T", ("a",)), ("a", "b")),))
+    flat = DerivationTree("S", Production("S", ("T",)), (leaf, "b"))
+    assert deep != flat and len({deep, flat}) == 2
+    assert deep == DerivationTree("S", Production("S", ("T",)),
+                                  (DerivationTree("T", Production("T", ("a",)), ("a", "b")),))
+
+
 def test_tree_repr_matches_dataclass_format():
     leaf = DerivationTree("E", Production("E", ()), ())
     assert repr(leaf) == "DerivationTree(root='E', production=Production(head='E', body=()), children=())"

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import pickle
 import subprocess
@@ -252,6 +253,17 @@ SAMPLE_KMN_GOLDEN = {
 def test_sample_kmn_golden():
     for (m, n, seed), text in SAMPLE_KMN_GOLDEN.items():
         assert str(sample_kmn(2, m, n, seed)) == text
+
+
+def test_sample_kmn_draws_are_pinned():
+    # 180 draws over ranks 1-3 and caps 1-2, hashed: the Zx pools are
+    # filtered from E's pool and must keep their order
+    text = "\n".join(str(sample_kmn(rank, m, n, seed, cap))
+                     for rank in (1, 2, 3) for cap in (1, 2)
+                     for m, n in ((0, 0), (1, 2), (2, 1)) for seed in range(10))
+    assert len(text.splitlines()) == 180
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "ded759d2fc960a082b8fa2ec9907cf50f8aee8ea50f68ecf133635aa70e875fc")
 
 
 def test_sample_kmn_deterministic():

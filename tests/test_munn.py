@@ -348,6 +348,8 @@ def test_literal_constructor_matches_build_munn():
     ({"a", "aA"}, ""),          # not reduced
     ({"a"}, "b"),               # endpoint not a vertex
     ({"1"}, "1"),               # not a letter
+    ({"ab", "aA"}, ""),         # the right count of vertices, not the right set
+    ({"a"}, "aAa"),             # endpoint not reduced
 ])
 def test_literal_constructor_rejects_non_trees(edges, terminal):
     with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -174,6 +175,25 @@ def test_crosscheck_order_independent(grammar, predicate, universe):
     expected = report_fields(crosscheck(grammar, predicate, items))
     assert report_fields(crosscheck(grammar, predicate, shuffled)) == expected
     assert report_fields(crosscheck(grammar, predicate, sorted(items, key=str))) == expected
+
+
+def test_crosscheck_caps_false_accepts_serial_and_pooled(monkeypatch, recording_pool):
+    # 412 false accepts, past 2 * EXAMPLE_CAP, so the accept side's capping
+    # runs; pooled in chunks of 100 words, each block caps its own too
+    everything = Grammar({"a", "A"}, {"S"}, [("S", ("a", "S")), ("S", ("A", "S")), ("S", ())], "S")
+    serial = crosscheck(everything, is_idempotent, enumerate_words(1, 8))
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(oracle, "_CHUNK", 100)
+    pooled = crosscheck(everything, is_idempotent, enumerate_words(1, 8), jobs=2)
+    assert len(recording_pool.submitted) == 6
+    for report in (serial, pooled):
+        fields = report_fields(report)
+        assert (report.universe, report.agreements, report.false_accept_count,
+                report.false_reject_count) == (511, 99, 412, 0)
+        assert report.false_accepts[:3] == ["a", "A", "aa"] and len(report.false_accepts) == 100
+        assert report.false_rejects == []
+        assert hashlib.sha256(json.dumps(fields).encode()).hexdigest() == (
+            "38c4020fe30276fa244196d1125d07241cf2efd8ab32728a60cb7717b0a5b637")
 
 
 @pytest.mark.parametrize("jobs", [0, -3])

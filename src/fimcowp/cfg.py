@@ -345,9 +345,11 @@ class _Tables(NamedTuple):
     aux: int  # ids from here on are auxiliaries
     start: int
     seeds: dict[str, tuple[int, ...]]  # terminal t -> every A with A ~>* t
-    # right child C -> ((left child B, every A' ~>* A over the rules A -> B C), ...);
-    # a terminal's entry merges, by B, those of every symbol it seeds
-    by_right: dict[int, tuple[tuple[int, tuple[int, ...]], ...]]
+    # right child C -> (closed, ((left child B, every A' ~>* A over the rules
+    # A -> B C), ...)); C is closed when its one pair is (C, heads) with C
+    # among the heads.  A terminal's entry merges, by B, those of every symbol
+    # it seeds, and is never closed
+    by_right: dict[int, tuple[bool, tuple[tuple[int, tuple[int, ...]], ...]]]
     # closing terminal u -> ((opening terminal t's id, middle X, 1 if X is
     # nullable else 0, every A' ~>* A over the brackets A -> t X u), ...)
     brackets: dict[str, tuple[tuple[int, int, int, tuple[int, ...]], ...]]
@@ -427,7 +429,9 @@ def _chart_tables(grammar: Grammar) -> _Tables:
             for b, heads in by_right.get(c, {}).items():
                 merged.setdefault(b, set()).update(heads)
         by_right[ids[t]] = merged
-    pairs = {c: tuple((b, tuple(sorted(a))) for b, a in bs.items()) for c, bs in by_right.items()}
+    pairs = {c: (bs.keys() == {c} and c in bs[c],
+                 tuple((b, tuple(sorted(a))) for b, a in bs.items()))
+             for c, bs in by_right.items()}
     brackets = {
         u: tuple((t, x, int(x in eps), tuple(sorted(a))) for (t, x), a in opens.items())
         for u, opens in by_close.items()
@@ -453,7 +457,14 @@ class _Chart:
     through the rules A -> B C.  A push reads only finished columns, since
     B on [i, k) and C on [k, j) are both nonempty and a bracket reads column
     j-1, so any order reaches the same least fixpoint; the work follows the
-    cells that are set."""
+    cells that are set.
+
+    A symbol C is closed when C -> C C, through unit parents, is the only
+    rule with C as a right child (E, and the Z family).  C's starts are taken
+    highest first, and combining a start k also drops from the work every
+    start k' of C on [k', k): C on [i, k') and on [k', k) is C on [i, k),
+    which the finished column k already holds, so k' would add nothing that
+    k did not.  Taken lowest first, no start would ever be dropped."""
 
     __slots__ = ("_tables", "_cols", "_pos")
 
@@ -473,8 +484,9 @@ class _Chart:
         bit = 1 << first
         col = dict.fromkeys(seeds, bit)
         # right child C -> its starts set in this column and not yet combined;
-        # the terminal's entry stands for all its seeds
-        todo = {seeds[0]: bit}
+        # the terminal's entry stands for all its seeds, unless none of them
+        # is a right child
+        todo = {seeds[0]: bit} if by_right[seeds[0]][1] else {}
         last = cols[first]
         for t, x, nullable, heads in tables.brackets.get(symbol, ()):
             # t at i, and X on [i+1, j-1), or empty there when nullable
@@ -489,14 +501,16 @@ class _Chart:
                             todo[a] = todo.get(a, 0) | new
         while todo:
             c, ks = todo.popitem()
-            pairs = by_right[c]
+            closed, pairs = by_right[c]
             while ks:
-                low = ks & -ks
-                ks ^= low
-                left = cols[low.bit_length() - 1]
+                k = ks.bit_length() - 1  # highest first
+                ks ^= 1 << k
+                left = cols[k]
                 for b, heads in pairs:
                     starts = left.get(b)
                     if starts:
+                        if closed:  # b is c: its starts that column k holds add no more
+                            ks &= ~starts
                         for a in heads:
                             old = col.get(a, 0)
                             new = starts & ~old

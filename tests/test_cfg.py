@@ -1,5 +1,6 @@
 import hashlib
 import os
+import random
 import subprocess
 import sys
 import weakref
@@ -39,7 +40,7 @@ from fimcowp import (
     to_cnf,
     union_grammar,
 )
-from fimcowp import cfg
+from fimcowp import cfg, munn
 from fimcowp.cfg import _Chart, _chart_tables
 from fimcowp.fim_grammars import LANGUAGES, ZX, _pool
 from fimcowp.words import MAX_RANK, alphabet
@@ -72,6 +73,35 @@ def small_grammars(draw, terminals="ab"):
     if draw(st.booleans()):
         prods += [(a, (b,)) for a, b in zip(nts, nts[1:] + nts[0])]
     return Grammar(set(terminals), set(nts), [Production(h, b) for h, b in prods], "S")
+
+
+@st.composite
+def doubling_grammars(draw):
+    """A small grammar plus C -> C C | t for one of its nonterminals C, which
+    the chart may treat as closed, and sometimes X -> t C, C as a right child
+    after a terminal, which makes C not closed."""
+    grammar = draw(small_grammars())
+    nts = sorted(grammar.nonterminals)
+    c = draw(st.sampled_from(nts))
+    extra = [Production(c, (c, c)), Production(c, (draw(st.sampled_from("ab")),))]
+    if draw(st.booleans()):
+        extra.append(Production(draw(st.sampled_from(nts)), (draw(st.sampled_from("ab")), c)))
+    return Grammar(grammar.terminals, grammar.nonterminals, grammar.productions + tuple(extra),
+                   grammar.start)
+
+
+def random_idempotent(rng, letters, length):
+    """A word of even length that freely reduces to the empty word: a walk on
+    the Cayley tree that steps back as often as it steps out."""
+    path, out = [], []
+    while len(out) < length:
+        if path and (rng.random() < 0.5 or len(path) == length - len(out)):
+            out.append(path.pop().swapcase())
+        else:
+            x = rng.choice([y for y in letters if not path or y != path[-1].swapcase()])
+            path.append(x)
+            out.append(x)
+    return "".join(out)
 
 
 def is_derivation(tree, grammar, word):
@@ -234,7 +264,9 @@ def test_idempotent_chart_sets_exactly_the_reducing_spans():
     tables = _chart_tables(grammar)
     e = len(tables.terminals)  # E, the one nonterminal, after the terminals
     assert tables.aux == e + 1
-    for word in ("aAbBBbAa", "abBAaBbA", "aaAAbABBba", "BbbaABAaaAbb"):
+    # E is closed, so on long words the chart skips most of its starts
+    long_words = ("aA" * 30, random_idempotent(random.Random(13), alphabet(2), 60))
+    for word in ("aAbBBbAa", "abBAaBbA", "aaAAbABBba", "BbbaABAaaAbb", *long_words):
         chart = _Chart(grammar)
         for symbol in word:
             chart.push(symbol)
@@ -243,6 +275,24 @@ def test_idempotent_chart_sets_exactly_the_reducing_spans():
             assert all(symbol < tables.aux for symbol in col), (word, j)
             reducing = sum(1 << i for i in range(j) if free_reduce(word[i:j]) == "")
             assert col.get(e, 0) == reducing, (word, j)
+
+
+def test_avoiding_chart_sets_exactly_the_avoiding_spans_on_long_words():
+    # every Z(y) is closed, so on long words the chart skips most of its
+    # starts; Z(y) is set on [i, j) iff w[i:j] is idempotent and avoids y
+    grammar = avoiding_grammar(2, "a")
+    tables = _chart_tables(grammar)
+    ids = {name: i for i, name in enumerate([*tables.terminals, *sorted(grammar.nonterminals)])}
+    for word in ("aA" * 30, "bB" * 30, random_idempotent(random.Random(13), alphabet(2), 60)):
+        chart = _Chart(grammar)
+        for symbol in word:
+            chart.push(symbol)
+        for j in range(1, len(word) + 1):
+            col = chart._cols[j]
+            for y in alphabet(2):
+                expected = sum(1 << i for i in range(j) if munn.is_idempotent(word[i:j])
+                               and munn.avoids(word[i:j], y))
+                assert col.get(ids[f"Z({y})"], 0) == expected, (word, j, y)
 
 
 def test_cyk_agrees_with_enumeration_on_all_grammars():
@@ -309,11 +359,51 @@ def assert_cells_mean_derivability(grammar, max_len):
     assert len(set(bodies)) == len(bodies)
 
 
+# C is a right child of C C and of X -> b C, so not closed: starts that C's
+# own pair would skip still combine with b
+DOUBLING = tiny([("X", "bC"), ("C", "CC"), ("C", "a")], start="X")
+# S is a right child only of T -> S S, but S is not a unit parent of T, so
+# not closed either: S on [i, k) and on [k, j) is no S on [i, j)
+UNIT_DOUBLING = tiny([("S", "a"), ("S", "aT"), ("T", "S"), ("T", "SS"), ("T", "b")])
+
+
 @settings(max_examples=200, deadline=None)
 @given(small_grammars())
 @example(BRACKETS)
+@example(DOUBLING)
+@example(UNIT_DOUBLING)
 def test_chart_cells_mean_derivability_on_random_grammars(grammar):
     assert_cells_mean_derivability(grammar, 5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(doubling_grammars())
+@example(DOUBLING)
+def test_chart_cells_mean_derivability_on_grammars_with_a_doubling_rule(grammar):
+    assert_cells_mean_derivability(grammar, 6)
+
+
+def closed_symbols(grammar):
+    tables = _chart_tables(grammar)
+    names = [*tables.terminals, *sorted(grammar.nonterminals)]  # the ids below tables.aux
+    return {names[c] for c, (closed, _) in tables.by_right.items() if closed}
+
+
+def test_closed_symbols_of_the_table_grammars():
+    # binarised, a symbol is a right child only where it ends a body of two
+    # or more that is not a bracket: K1's bodies end in Z(x) but never in E,
+    # K2's, their reverses, in E but never in Z(x), and coWP-FG's in E
+    for rank in (1, 2, 5):
+        letters = alphabet(rank)
+        e = "E'" if "E" in letters else "E"
+        zs = {f"Z({x})" for x in letters}
+        expected = {"E": {e}, "Zx:a": zs, "K1": {e}, "K2": zs, "coWP-FG": set(),
+                    "coWP-FIM": {f"{e}@1"} | {f"{z}@2" for z in zs}}
+        for name, closed in expected.items():
+            assert closed_symbols(language(name, rank).grammar()) == closed, (name, rank)
+    assert closed_symbols(DOUBLING) == closed_symbols(UNIT_DOUBLING) == set()
+    assert closed_symbols(tiny([("C", "CC"), ("C", "a")], start="C")) == {"C"}
+    assert closed_symbols(tiny([("C", "D"), ("D", "CC"), ("C", "a")], start="C")) == {"C"}
 
 
 def test_chart_cells_mean_derivability_on_table_grammars():

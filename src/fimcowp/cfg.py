@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 from typing import Collection, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .words import EPSILON_TOKEN
@@ -73,14 +74,12 @@ def grammar_stats(grammar: Grammar) -> tuple[int, int]:
 
 
 def grammar_to_bnf(grammar: Grammar) -> str:
-    """Deterministic BNF text: heads lexicographic, bodies lexicographic,
-    the empty body rendered as the epsilon token."""
-    bodies: dict[str, list[tuple[str, ...]]] = {}
-    for head, body in grammar.productions:
-        bodies.setdefault(head, []).append(body)
+    """Deterministic BNF text: heads lexicographic, bodies lexicographic
+    (the order of `productions`), the empty body rendered as the epsilon
+    token."""
     lines = []
-    for head in sorted(bodies):
-        alts = [" ".join(b) if b else EPSILON_TOKEN for b in sorted(bodies[head])]
+    for head, group in groupby(grammar.productions, key=lambda p: p.head):
+        alts = [" ".join(body) if body else EPSILON_TOKEN for _, body in group]
         lines.append(f"{head} -> {' | '.join(alts)}")
     return "\n".join(lines) + "\n"
 
@@ -170,27 +169,25 @@ def to_cnf(grammar: Grammar) -> Grammar:
             current, body = aux, body[1:]
         binned.append(Production(current, body))
 
-    # DEL: drop nullable occurrences; keep epsilon only at the start
+    # DEL: drop nullable occurrences; the nonempty bodies of each head
     nullable = _generating(binned)
-    deleted = {Production(start, ())} if start in nullable else set()
+    bodies: dict[str, set[tuple[str, ...]]] = {}
     for head, body in binned:
         variants: set[tuple[str, ...]] = {()}
         for symbol in body:
             grown = {v + (symbol,) for v in variants}
             variants = grown | variants if symbol in nullable else grown
-        deleted.update(Production(head, v) for v in variants if v)
+        variants.discard(())
+        bodies.setdefault(head, set()).update(variants)
 
-    # UNIT: close over single-nonterminal bodies, then drop them
-    units = {p for p in deleted if len(p.body) == 1 and p.body[0] not in terminals}
-    unitless = deleted - units
-    unit_edges: dict[str, list[str]] = {}
-    for head, (body,) in units:
-        unit_edges.setdefault(head, []).append(body)
-    by_head: dict[str, list[Production]] = {}
-    for p in unitless:
-        by_head.setdefault(p.head, []).append(p)
-    unitless |= {Production(a, p.body) for a in unit_edges
-                 for b in _reach(unit_edges, a) for p in by_head.get(b, ())}
+    # UNIT: A -> B is an edge; A takes every other body of each B it reaches.
+    # Epsilon stays only at the start, which no body mentions.
+    units = {a: [v[0] for v in vs if len(v) == 1 and v[0] not in terminals]
+             for a, vs in bodies.items()}
+    unitless = {Production(a, v) for a in bodies for b in _reach(units, a)
+                for v in bodies.get(b, ()) if len(v) == 2 or v[0] in terminals}
+    if start in nullable:
+        unitless.add(Production(start, ()))
 
     # TRIM: productive then reachable
     productive = _generating(unitless, terminals)

@@ -209,7 +209,7 @@ def main(argv: list[str] | None = None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # so that a closed pipe shows here and not at exit
         return code
-    except (words.WordSyntaxError, cfg.GrammarError, ValueError) as exc:
+    except ValueError as exc:  # WordSyntaxError and GrammarError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

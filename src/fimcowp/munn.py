@@ -16,7 +16,6 @@ first use.  The deciders walk both words on one trie and build no tree.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from itertools import islice
 
 from .words import EPSILON_TOKEN, MarkedWord, free_reduce, rev_invert, symbol_sort_key
@@ -246,18 +245,12 @@ def render_dot(tree: MunnTree) -> str:
 
 
 def render_ascii(tree: MunnTree) -> str:
-    """One line per vertex, depth first from the root, children in canonical
-    order; iterative, so a tree of any depth renders."""
-    children: dict[str, list[str]] = defaultdict(list)
-    for vertex in tree_vertices(tree)[1:]:
-        children[vertex[:-1]].append(vertex)
-
+    """One line per vertex, depth first from the root with children in
+    canonical order: that is the lexicographic order of the vertices over
+    the canonical symbol order, each indented by its length."""
     terminal = tree.terminal
     lines = [f"{EPSILON_TOKEN} (root)" + (" (terminal)" if terminal == "" else "")]
-    stack = [(child, 1) for child in reversed(children[""])]
-    while stack:
-        vertex, depth = stack.pop()
+    for vertex in sorted(tree.edges, key=lambda v: symbol_sort_key(v)[1]):
         mark = " (terminal)" if vertex == terminal else ""
-        lines.append("  " * depth + f"{vertex[-1]} {vertex}{mark}")
-        stack.extend((child, depth + 1) for child in reversed(children[vertex]))
+        lines.append("  " * len(vertex) + f"{vertex[-1]} {vertex}{mark}")
     return "\n".join(lines) + "\n"

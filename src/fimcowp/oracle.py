@@ -82,21 +82,20 @@ def _check_block(grammar: Grammar, predicate: Callable, items: Iterable) -> tupl
     """Check each item on one chart: pop back to the longest common prefix
     with the previous item's text, then push the rest.  Neighbours in
     length-then-lex order share most of their prefix; any order is correct.
-    The prefix is found by halving, each step one slice compare.  Returns
-    [false rejects, false accepts, agreements] and the earliest examples of
-    the first two: a disagreement is filed under the chart's answer."""
+    The prefix is counted by one scan that stops at the first mismatch.
+    Returns [false rejects, false accepts, agreements] and the earliest
+    examples of the first two: a disagreement is filed under the chart's
+    answer."""
     counts, examples = [0, 0, 0], [[], []]
     chart = _Chart(grammar)
     previous = ""
     for item in items:
         text = str(item)
-        keep, top = 0, min(len(previous), len(text))
-        while keep < top:
-            mid = (keep + top + 1) // 2
-            if previous[:mid] == text[:mid]:
-                keep = mid
-            else:
-                top = mid - 1
+        keep = 0
+        for x, y in zip(previous, text):
+            if x != y:
+                break
+            keep += 1
         for _ in range(len(previous) - keep):
             chart.pop()
         for symbol in text[keep:]:

@@ -547,6 +547,31 @@ def test_to_cnf_export_is_pinned():
         assert hashlib.sha256(bnf.encode()).hexdigest() == CNF_SHA256[name, rank], name
 
 
+def test_to_cnf_fresh_names_step_past_declared_ones():
+    # S', [a] and S.1 are declared, so the new start, the wrapper of a and
+    # the first auxiliary of S take the suffix 2
+    g = Grammar(set("ab"), {"S", "T", "S.1", "[a]", "S'"}, [
+        Production("S", ("a", "S", "b", "T")), Production("S", ()),
+        Production("T", ("S.1",)), Production("T", ()),
+        Production("S.1", ("[a]", "S")), Production("[a]", ("b",)),
+        Production("S'", ("a",)),
+    ], "S")
+    cnf = to_cnf(g)
+    assert cnf.start == "S'2"
+    assert grammar_to_bnf(cnf) == (
+        "S -> [a]2 S.12\n"
+        "S'2 -> 1 | [a]2 S.12\n"
+        "S.12 -> S S.2 | [b] T | b\n"
+        "S.2 -> [b] T | b\n"
+        "T -> [a] S | b\n"
+        "[a] -> b\n"
+        "[a]2 -> a\n"
+        "[b] -> b\n"
+    )
+    assert cnf_shape_ok(cnf)
+    assert enumerate_language(cnf, 8) == enumerate_language(g, 8)
+
+
 def test_to_cnf_empty_language():
     g = tiny([("S", ("a", "S"))])
     cnf = to_cnf(g)
@@ -563,6 +588,8 @@ def test_enumerate_language_examples():
     assert enumerate_language(tiny([("S", "a")]), 0) == set()
     za = avoiding_grammar(1, "a")
     assert enumerate_language(za, 2) == {"", "Aa"}
+    with pytest.raises(GrammarError, match="nonnegative"):
+        enumerate_language(E1, -1)
 
 
 def test_enumerate_language_matches_oracle():
@@ -861,6 +888,8 @@ def test_reverse_invert_commutes_with_marker_insertion(grammar):
 def test_insert_marker_collision():
     with pytest.raises(GrammarError):
         insert_marker_grammar(E1, "a")
+    with pytest.raises(GrammarError, match="collide"):
+        insert_marker_grammar(tiny([("X", "a"), ("X^0", "b")], start="X"), "#")
 
 
 def test_union_grammar():
@@ -870,6 +899,9 @@ def test_union_grammar():
     assert enumerate_language(single, 4) == enumerate_language(E1, 4)
     with pytest.raises(GrammarError):
         union_grammar([])
+    # the fresh start steps past a terminal S
+    g = union_grammar([tiny([("T", "S")], start="T", terminals="S")])
+    assert g.start == "S'" and enumerate_language(g, 2) == {"S"}
 
 
 def test_grammar_stats_examples():

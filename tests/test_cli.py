@@ -61,6 +61,12 @@ def test_decide_rank_out_of_range(capsys):
     assert code == 2
 
 
+def test_rank_not_an_integer(capsys):
+    code, out, err = run(capsys, "grammar", "--rank", "x", "--which", "E")
+    assert code == 2 and out == ""
+    assert "rank must be an integer, got 'x'" in err
+
+
 # --- grammar
 
 

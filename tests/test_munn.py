@@ -248,6 +248,39 @@ def test_render_ascii():
     )
 
 
+def dfs_ascii(tree):
+    # depth first over the edge set, children in canonical letter order
+    order = alphabet(26).index
+    children = {}
+    for vertex in sorted(tree.edges, key=lambda v: order(v[-1])):
+        children.setdefault(vertex[:-1], []).append(vertex)
+
+    def mark(vertex):
+        return " (terminal)" if vertex == tree.terminal else ""
+
+    def visit(vertex):
+        lines.append("  " * len(vertex) + f"{vertex[-1]} {vertex}{mark(vertex)}")
+        for child in children.get(vertex, ()):
+            visit(child)
+
+    lines = ["1 (root)" + mark("")]
+    for child in children.get("", ()):
+        visit(child)
+    return "\n".join(lines) + "\n"
+
+
+@given(st.integers(1, 3).flatmap(lambda rank: st.text(alphabet=alphabet(rank), max_size=40)))
+def test_render_ascii_is_a_depth_first_walk(w):
+    tree = build_munn(w)
+    assert render_ascii(tree) == dfs_ascii(tree)
+
+
+def test_repr_and_comparison_with_other_types():
+    assert repr(build_munn("aA")) == "MunnTree(edges=frozenset({'a'}), terminal='')"
+    assert (build_munn("a") == "a") is False
+    assert build_munn("") != ""
+
+
 # --- the string-set algorithm, kept as a test-only reference ---------------
 # A tree is (set of non-root vertices, endpoint): the reduced prefixes of the
 # word and its reduced form.

@@ -140,6 +140,8 @@ def test_symbol_sort_key_orders_length_then_canonical():
     texts = ["Aa", "aA", "", "a", "A", "a#", "#a", "b"]
     ordered = sorted(texts, key=symbol_sort_key)
     assert ordered == ["", "a", "A", "b", "aA", "a#", "Aa", "#a"]
+    with pytest.raises(WordSyntaxError, match="not a word symbol"):
+        symbol_sort_key("a1")
 
 
 def test_parse_letter_rejects_junk():

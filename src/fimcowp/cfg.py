@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
-from typing import Collection, Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import Collection, Iterator, Mapping, NamedTuple, Sequence
 
 from .words import EPSILON_TOKEN
 
@@ -255,16 +255,28 @@ def enumerate_language(grammar: Grammar, max_len: int) -> set[str]:
 # Derivation trees
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class DerivationTree:
-    """A node and its children, terminals as strings.  Every walk, equality
-    and hashing included, is the one pre-order walk `_walk`, and repr keeps
-    its own; both use an explicit stack, so depth is not limited by the
-    recursion limit."""
+    """A node and its children, terminals as strings; read-only.  Every walk,
+    equality and hashing included, is the one pre-order walk `_walk`, and
+    repr keeps its own; both use an explicit stack, so depth is not limited
+    by the recursion limit."""
 
-    root: str
-    production: Production
-    children: tuple[Union["DerivationTree", str], ...]
+    __slots__ = ("root", "production", "children")
+
+    def __init__(self, root: str, production: Production,
+                 children: tuple[DerivationTree | str, ...]) -> None:
+        _set_root(self, root)
+        _set_production(self, production)
+        _set_children(self, children)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return DerivationTree, (self.root, self.production, self.children)
 
     def _walk(self, depth: int = 0) -> Iterator[tuple[int, DerivationTree | str]]:
         """(depth, node or leaf) in pre-order, this node at `depth`."""
@@ -311,6 +323,11 @@ class DerivationTree:
     def productions(self) -> list[Production]:
         """Pre-order trace of the productions applied."""
         return [node.production for _, node in self._walk() if not isinstance(node, str)]
+
+
+# the slot descriptors' setters, which `__setattr__` leaves to `__init__` alone
+_set_root, _set_production, _set_children = (
+    getattr(DerivationTree, name).__set__ for name in DerivationTree.__slots__)
 
 
 def format_tree(tree: DerivationTree, indent: int = 0) -> str:
@@ -461,7 +478,12 @@ class _Chart:
     highest first, and combining a start k also drops from the work every
     start k' of C on [k', k): C on [i, k') and on [k', k) is C on [i, k),
     which the finished column k already holds, so k' would add nothing that
-    k did not.  Taken lowest first, no start would ever be dropped."""
+    k did not.  Taken lowest first, no start would ever be dropped.
+
+    `tree` reads one derivation out in a single loop over a stack of spans
+    to expand, terminals and epsilon trees to emit, and closings (production,
+    mark) that make the output from mark on one node.  An auxiliary pushes
+    no closing, so its children join its parent's."""
 
     __slots__ = ("_tables", "_cols", "_pos")
 
@@ -543,65 +565,62 @@ class _Chart:
     def tree(self) -> DerivationTree | None:
         """One derivation of the symbols pushed so far, in the caller's own
         productions, or None when they are not a word of the language."""
-        tables, n = self._tables, len(self._cols) - 1
+        tables, cols, n = self._tables, self._cols, len(self._cols) - 1
         if not self.accepts():
             return None
         if n == 0:
             return tables.eps[tables.start][0]
-        # frames (production, or None for an auxiliary, items left, children
-        # so far), kept on a stack since trees are as deep as words are long
-        word = [next(iter(col)) for col in self._cols[1:]]  # a column's first key is its terminal
-        top: list[DerivationTree | str] = []
-        stack = [(None, iter([(tables.start, 0, n)]), top)]
-        while stack:
-            production, items, children = stack[-1]
-            item = next(items, None)
-            if isinstance(item, tuple):
-                rule, parts = self._step(*item, word)
-                stack.append((rule.production if item[0] < tables.aux else None, iter(parts), []))
-            elif item is not None:
-                children.append(item)
+        names, eps, unit, split = tables.terminals, tables.eps, tables.unit, self._split
+        aux, nterm = tables.aux, len(tables.terminals)
+        word = [next(iter(col)) for col in cols[1:]]  # a column's first key is its terminal
+        out, work = [], [(tables.start, 0, n)]  # see the class docstring
+        while work:
+            item = work.pop()
+            if type(item) is not tuple:
+                out.append(item)
+                continue
+            if len(item) == 2:
+                production, mark = item
+                out[mark:] = [DerivationTree(production.head, production, tuple(out[mark:]))]
+                continue
+            x, i, j = item
+            found = split(x, i, j, word)
+            if found is None:
+                # no split: the shortest unit chain, as (symbol, its first step)
+                cell, seen, queue = cols[j], {x}, [(x, None)]
+                for y, first in queue:
+                    if first is not None and (y < nterm or split(y, i, j, word)):
+                        break
+                    for rule, pos in unit.get(y, ()):
+                        z = rule.body[pos]
+                        if z not in seen and cell.get(z, 0) >> i & 1:
+                            seen.add(z)
+                            queue.append((z, first or (rule, pos)))
+                else:
+                    raise AssertionError("a chart cell is set without a derivation")
+                rule, pos = first
             else:
-                stack.pop()
-                if stack:  # an auxiliary's children join its parent's
-                    stack[-1][2].extend(children if production is None else [
-                        DerivationTree(production.head, production, tuple(children))
-                    ])
-        return top[0]
-
-    def _step(self, x: int, i: int, j: int, word: list[int]) -> tuple[_Rule, list]:
-        """The rule that opens x's derivation of w[i:j], and its children:
-        terminals, epsilon trees and spans still to expand.  Follows the
-        shortest unit chain to a symbol set by a terminal or by a binary
-        split, and takes that symbol's split (see _split).  `word` holds the
-        terminal ids of w."""
-        tables = self._tables
-        split = self._split(x, i, j, word)
-        if split is not None:
-            k, rule = split
-            if len(rule.body) == 3:
-                t, m, u = rule.body
-                middle = [self._item(m, k, j - 1)] if k < j - 1 else list(tables.eps[m])
-                return rule, [self._item(t, i, k), *middle, self._item(u, j - 1, j)]
-            return rule, [self._item(rule.body[0], i, k), self._item(rule.body[1], k, j)]
-        cell = self._cols[j]
-        seen = {x}
-        # (symbol, first step of the chain from x to it)
-        queue: list[tuple[int, tuple[_Rule, int] | None]] = [(x, None)]
-        for y, first in queue:  # breadth first, so the chain is shortest
-            if first is not None and (y < len(tables.terminals) or self._split(y, i, j, word)):
-                break
-            for rule, pos in tables.unit.get(y, ()):
-                z = rule.body[pos]
-                if z not in seen and cell.get(z, 0) >> i & 1:
-                    seen.add(z)
-                    queue.append((z, first or (rule, pos)))
-        else:
-            raise AssertionError("a chart cell is set without a derivation")
-        rule, pos = first
-        child = [self._item(rule.body[pos], i, j)]
-        nullable = list(tables.eps[rule.body[1 - pos]]) if len(rule.body) == 2 else []
-        return rule, child + nullable if pos == 0 else nullable + child
+                k, rule = found
+            if x < aux:  # not an auxiliary, whose children join its parent's
+                work.append((rule.production, len(out)))
+            body = rule.body
+            if found is None:  # the chain's first step: one span, beside epsilon trees
+                child = names[body[pos]] if body[pos] < nterm else (body[pos], i, j)
+                nullable = eps[body[1 - pos]] if len(body) == 2 else ()
+                work.extend(reversed((child, *nullable) if pos == 0 else (*nullable, child)))
+            elif len(body) == 3:  # a bracket t m u: t, the first child, goes straight out
+                t, m, u = body
+                work.append(names[u])
+                if k < j - 1:
+                    work.append(names[m] if m < nterm else (m, k, j - 1))
+                else:
+                    work.extend(reversed(eps[m]))
+                out.append(names[t])
+            else:
+                b, c = body
+                work.append(names[c] if c < nterm else (c, k, j))
+                work.append(names[b] if b < nterm else (b, i, k))
+        return out[0]
 
     def _split(self, y: int, i: int, j: int, word: list[int]) -> tuple[int, _Rule] | None:
         """The lowest split k of y's derivation of w[i:j] by a bracket or a
@@ -633,10 +652,6 @@ class _Chart:
                     break
                 ks ^= bit
         return best
-
-    def _item(self, symbol: int, i: int, j: int) -> str | tuple[int, int, int]:
-        names = self._tables.terminals
-        return names[symbol] if symbol < len(names) else (symbol, i, j)
 
 
 # (grammar, word, chart) of the last word parsed, or None; `derive` reads the

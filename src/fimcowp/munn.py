@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from itertools import islice
 
-from .words import EPSILON_TOKEN, MarkedWord, free_reduce, rev_invert, symbol_sort_key
+from .words import CANONICAL_ORDER, EPSILON_TOKEN, MarkedWord, free_reduce, rev_invert
 
 # A trie is (children, parents, inverses): children maps parent << 7 | code
 # to the child's id, where code is a letter's ASCII code; parents[i] and
@@ -223,7 +223,7 @@ def _vertex_label(vertex: str) -> str:
 
 def tree_vertices(tree: MunnTree) -> list[str]:
     """All vertices in length-then-canonical order; the root is always present."""
-    return sorted({"", *tree.edges}, key=symbol_sort_key)
+    return sorted({"", *tree.edges}, key=lambda v: (len(v), v.translate(CANONICAL_ORDER)))
 
 
 def render_dot(tree: MunnTree) -> str:
@@ -250,7 +250,7 @@ def render_ascii(tree: MunnTree) -> str:
     the canonical symbol order, each indented by its length."""
     terminal = tree.terminal
     lines = [f"{EPSILON_TOKEN} (root)" + (" (terminal)" if terminal == "" else "")]
-    for vertex in sorted(tree.edges, key=lambda v: symbol_sort_key(v)[1]):
+    for vertex in sorted(tree.edges, key=lambda v: v.translate(CANONICAL_ORDER)):
         mark = " (terminal)" if vertex == terminal else ""
         lines.append("  " * len(vertex) + f"{vertex[-1]} {vertex}{mark}")
     return "\n".join(lines) + "\n"

@@ -32,6 +32,9 @@ def alphabet(rank: int) -> str:
 
 _LETTERS = {rank: frozenset(alphabet(rank)) for rank in range(1, MAX_RANK + 1)}
 _INVERSE = str.maketrans(ascii_lowercase + ascii_uppercase, ascii_uppercase + ascii_lowercase)
+# each word symbol to its place in the canonical order; texts translated by
+# it compare as the tuples of places in their symbol_sort_key do
+CANONICAL_ORDER = str.maketrans({c: i for i, c in enumerate(alphabet(MAX_RANK) + MARKER)})
 
 
 def parse_letter(text: str, rank: int) -> str:
@@ -92,15 +95,10 @@ def parse_marked(text: str, rank: int) -> MarkedWord:
     return MarkedWord(parse_word(left, rank), parse_word(right, rank))
 
 
-def _symbol_index(char: str) -> int:
-    if char == MARKER:
-        return 2 * MAX_RANK
-    if char.isascii() and char.isalpha():
-        return 2 * (ord(char.lower()) - ord("a")) + char.isupper()
-    raise WordSyntaxError(f"not a word symbol: {char!r}")
-
-
 def symbol_sort_key(text: str) -> tuple[int, tuple[int, ...]]:
     """Length-then-lexicographic key over the canonical symbol order
     a, A, b, B, ..., with the marker sorting last."""
-    return len(text), tuple(_symbol_index(char) for char in text)
+    try:
+        return len(text), tuple(CANONICAL_ORDER[ord(char)] for char in text)
+    except KeyError as missing:
+        raise WordSyntaxError(f"not a word symbol: {chr(missing.args[0])!r}") from None

@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -42,7 +44,7 @@ from fimcowp import (
 )
 from fimcowp import cfg, munn
 from fimcowp.cfg import _Chart, _chart_tables
-from fimcowp.fim_grammars import LANGUAGES, ZX, _pool
+from fimcowp.fim_grammars import LANGUAGES, ZX, _pool, sample_kmn
 from fimcowp.words import MAX_RANK, alphabet
 
 E1 = idempotent_grammar(1)
@@ -441,6 +443,39 @@ def test_derivation_trees_are_pinned():
     assert count == 6788
 
 
+def long_words():
+    """Long accepted words at rank 2 by language, whose trees are deep."""
+    rng = random.Random(41)
+    idempotents = [random_idempotent(rng, alphabet(2), n) for n in range(64, 257, 32)]
+    idempotents.append(random_idempotent(rng, alphabet(2), 2000))
+    u = random_idempotent(rng, alphabet(2), 150)
+    t = random_idempotent(rng, alphabet(2), 148) + "a"
+    return {
+        "E": idempotents + ["aA" * n for n in (32, 64, 1000)],
+        "K1": [str(sample_kmn(2, m, m, m)) for m in (1, 2, 3)],
+        "coWP-FIM": [f"{u}#{t}"],
+    }
+
+
+# sha256 of each long word with the format_tree text of its derivation,
+# recorded before the read-out became one work-stack loop
+LONG_TREE_SHA256 = {
+    "E": "456d506c1a818a8e5f5e3c901103a5bc2ca11624f8dd8b7cb2b2a37abae1ff76",
+    "K1": "583c76f3fd92567c1833e1deae5e3d718816170948eaf5889c8cf859a10bbe17",
+    "coWP-FIM": "5ee3752e60b2113f9b64c191b1ef76e7dc1d3bed00fbe8920c07770825e2aa57",
+}
+
+
+def test_long_derivation_trees_are_pinned():
+    for name, texts in long_words().items():
+        grammar, digest = language(name, 2).grammar(), hashlib.sha256()
+        for text in texts:
+            tree = derive(grammar, text)
+            assert tree is not None and tree.frontier() == text, (name, len(text))
+            digest.update(f"{text}\n{format_tree(tree)}\n\n".encode())
+        assert digest.hexdigest() == LONG_TREE_SHA256[name], name
+
+
 def test_auxiliaries_are_one_per_body_suffix():
     # bracket bodies take none; the other bodies longer than two share them
     counts = {("E", 2): 0, ("Zx:a", 2): 0, ("K1", 2): 116, ("coWP-FIM", 2): 259}
@@ -774,6 +809,19 @@ def test_tree_repr_matches_dataclass_format():
         "DerivationTree(root='E', production=Production(head='E', body=('a', 'E', 'A')), "
         "children=('a', " + repr(leaf) + ", 'A'))"
     )
+
+
+def test_derivation_trees_are_read_only():
+    tree = derive(E1, "aAaA")
+    text = format_tree(tree)
+    for name in ("root", "production", "children", "other"):
+        with pytest.raises(AttributeError):
+            setattr(tree, name, "E")
+        with pytest.raises(AttributeError):
+            delattr(tree, name)
+    assert format_tree(tree) == text
+    # copies and pickles are rebuilt through __init__
+    assert copy.copy(tree) == tree == pickle.loads(pickle.dumps(tree))
 
 
 def test_deep_tree_walks():

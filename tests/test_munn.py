@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -246,6 +249,23 @@ def test_render_ascii():
     assert render_ascii(build_munn(W("abBcCAAcCaBba", 3))) == (
         "1 (root)\n  a a (terminal)\n    b ab\n    c ac\n  A A\n    c Ac\n  B B\n"
     )
+
+
+# sha256 of both renders of a seeded random 1,999-letter rank-3 word, whose
+# tree has 1,587 vertices, recorded before the sort keys came from one
+# str.translate per vertex
+RENDER_SHA256 = {
+    render_ascii: "20b97590b1e2275c252ac320625bbc9a0fc4ab534fb0c64eb61a4dfb66cc1207",
+    render_dot: "7b2422366d4e3f185beee36e6d272457a1eccebcb7a63e4e2b1f85b29f8034e5",
+}
+
+
+def test_renders_of_a_long_word_are_pinned():
+    rng = random.Random(6)
+    tree = build_munn("".join(rng.choice(alphabet(3)) for _ in range(1999)))
+    assert len(tree_vertices(tree)) == 1587
+    for render, digest in RENDER_SHA256.items():
+        assert hashlib.sha256(render(tree).encode()).hexdigest() == digest, render.__name__
 
 
 def dfs_ascii(tree):

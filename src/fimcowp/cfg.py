@@ -68,6 +68,11 @@ class Grammar:
         # dataclass generates __eq__ over the four fields and keeps this hash
         return self._hash
 
+    def __reduce__(self) -> tuple:
+        # rebuild on unpickling, so that the hash is taken under the loading
+        # interpreter's string hash seed
+        return Grammar, (self.terminals, self.nonterminals, self.productions, self.start)
+
 
 def grammar_stats(grammar: Grammar) -> tuple[int, int]:
     return len(grammar.nonterminals), len(grammar.productions)
@@ -97,10 +102,6 @@ def grammar_to_json(grammar: Grammar) -> str:
     return json.dumps(grammar_to_json_dict(grammar), indent=2) + "\n"
 
 
-# ---------------------------------------------------------------------------
-# Chomsky normal form
-
-
 def _generating(rules: Collection, known: Collection[str] = ()) -> dict:
     """AND-closure: `known` (mapped to None) plus every head of a rule whose
     body is in the result, mapped to the first rule that adds it when the
@@ -124,6 +125,10 @@ def _reach(edges: Mapping, source) -> set:
                 seen.add(node)
                 stack.append(node)
     return seen
+
+
+# ---------------------------------------------------------------------------
+# Chomsky normal form
 
 
 def to_cnf(grammar: Grammar) -> Grammar:

@@ -68,12 +68,6 @@ def _hard_cap() -> int:
     return value
 
 
-def _check_cap(max_len: int) -> None:
-    cap = _hard_cap()
-    if max_len > cap:
-        raise ValueError(f"--max-len {max_len} exceeds the hard cap {cap} ({HARD_CAP_ENV})")
-
-
 def resolve_grammar(which: str, rank: int) -> cfg.Grammar:
     return fim_grammars.language(which, rank).grammar()
 
@@ -123,7 +117,6 @@ def _cmd_parse(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    _check_cap(args.max_len)
     grammar = resolve_grammar(args.which, args.rank)
     for word in sorted(cfg.enumerate_language(grammar, args.max_len), key=words.symbol_sort_key):
         print(word)
@@ -131,7 +124,6 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_crosscheck(args: argparse.Namespace) -> int:
-    _check_cap(args.max_len)
     grammar = resolve_grammar(args.which, args.rank)
     predicate, marked = oracle_for(args.which, args.rank)
     enumerate_items = oracle.enumerate_marked if marked else oracle.enumerate_words
@@ -206,6 +198,9 @@ def main(argv: list[str] | None = None) -> int:
         if len(getattr(args, "word", "")) > PARSE_CAP:  # parse and munn
             raise ValueError(f"word of {len(args.word)} symbols exceeds the "
                              f"{args.command} cap {PARSE_CAP}")
+        max_len = getattr(args, "max_len", None)  # enumerate and crosscheck
+        if max_len is not None and max_len > (cap := _hard_cap()):
+            raise ValueError(f"--max-len {max_len} exceeds the hard cap {cap} ({HARD_CAP_ENV})")
         code = args.func(args)
         sys.stdout.flush()  # so that a closed pipe shows here and not at exit
         return code

@@ -19,10 +19,9 @@ from .cfg import (
     reverse_invert_grammar,
     union_grammar,
 )
-from .oracle import enumerate_words
-from .words import MARKER, MarkedWord, alphabet, parse_letter, rev_invert
+from .words import MARKER, MarkedWord, alphabet, parse_letter, rev_invert, symbol_sort_key
 
-_CACHE_SIZE = 64  # per constructor; one sample_kmn call at rank 26 uses 53 pools
+_CACHE_SIZE = 64  # per constructor: more than the 52 avoiding grammars of rank 26
 
 
 def _nt(tag: str, letter: str) -> str:
@@ -218,14 +217,6 @@ def language(which: str, rank: int) -> Language:
     return Language(partial(globals()[constructor], rank, *args), oracle, marked)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _pool(rank: int, which: str, cap: int) -> tuple[str, ...]:
-    """The words of length <= 2*cap of E or of a Zx, in enumerate_words
-    order; every Zx word is an E word, so a Zx pool filters E's."""
-    words = enumerate_words(rank, 2 * cap) if which == "E" else _pool(rank, "E", cap)
-    return tuple(filter(language(which, rank).oracle, words))
-
-
 def sample_kmn(rank: int, m: int, n: int, seed: int, cap: int = 2) -> MarkedWord:
     """Pseudorandom marked word from the (m, n)-factorized sublanguage of K1.
 
@@ -236,18 +227,17 @@ def sample_kmn(rank: int, m: int, n: int, seed: int, cap: int = 2) -> MarkedWord
     factor (and q) is an idempotent avoiding the adjacent letter.  Returns
     u#t with t the reverse-inverse of v; every output lies in K1.
 
-    Idempotents are drawn uniformly from the enumerated pool of words of
-    length <= 2*cap in the relevant language.  Deterministic per seed.
+    Each factor is drawn uniformly from its pool: the idempotents of length
+    <= 2*cap, or those of them avoiding the letter, in symbol_sort_key
+    order.  The pools are built for each call.  Deterministic per seed.
     """
-    if m < 0 or n < 0:
-        raise ValueError("m and n must be nonnegative")
+    if m < 0 or n < 0 or cap < 0:
+        raise ValueError("m, n and cap must be nonnegative")
     letters = alphabet(rank)
     rng = random.Random(seed)
 
     def pick_letter(banned: tuple[str, ...] = ()) -> str:
         return rng.choice([l for l in letters if l not in banned])
-
-    idem = _pool(rank, "E", cap)
 
     xs: list[str] = []
     for _ in range(m):
@@ -256,6 +246,16 @@ def sample_kmn(rank: int, m: int, n: int, seed: int, cap: int = 2) -> MarkedWord
     ys: list[str] = []
     for _ in range(n):
         ys.append(pick_letter((x,) if not ys else (ys[-1].swapcase(),)))
+
+    # idempotents by half-length k > 0: x e x^-1 f with e and f shorter, split
+    # where the walk first returns to the root; the split is not unique, hence sets
+    halves = [{""}]
+    for k in range(1, cap + 1):
+        halves.append({a + e + a.swapcase() + f for i in range(k) for e in halves[i]
+                       for f in halves[k - 1 - i] for a in letters})
+    idem = sorted((w for half in halves for w in half), key=symbol_sort_key)
+    avoiding = {y: [w for w in idem if munn.avoids(w, y)]
+                for y in {*xs, x, *(yi.swapcase() for yi in ys)}}
 
     u: list[str] = []
     for xi in xs:
@@ -272,11 +272,11 @@ def sample_kmn(rank: int, m: int, n: int, seed: int, cap: int = 2) -> MarkedWord
 
     v: list[str] = []
     for xi in xs:
-        v.append(rng.choice(_pool(rank, "Zx:" + xi, cap)))
+        v.append(rng.choice(avoiding[xi]))
         v.append(xi)
-    v.append(rng.choice(_pool(rank, "Zx:" + x, cap)))
+    v.append(rng.choice(avoiding[x]))
     for yi in ys:
         v.append(yi)
-        v.append(rng.choice(_pool(rank, "Zx:" + yi.swapcase(), cap)))
+        v.append(rng.choice(avoiding[yi.swapcase()]))
 
     return MarkedWord("".join(u), rev_invert("".join(v)))

@@ -44,7 +44,7 @@ from fimcowp import (
 )
 from fimcowp import cfg, munn
 from fimcowp.cfg import _Chart, _chart_tables
-from fimcowp.fim_grammars import LANGUAGES, ZX, _pool, sample_kmn
+from fimcowp.fim_grammars import LANGUAGES, ZX, sample_kmn
 from fimcowp.words import MAX_RANK, alphabet
 
 E1 = idempotent_grammar(1)
@@ -298,7 +298,7 @@ def test_avoiding_chart_sets_exactly_the_avoiding_spans_on_long_words():
 
 
 def test_cyk_agrees_with_enumeration_on_all_grammars():
-    # CNF-based membership vs fixpoint enumeration of the raw grammar
+    # chart membership vs fixpoint enumeration of the raw grammar
     grammars = [
         E1,
         idempotent_grammar(2),
@@ -853,21 +853,18 @@ def test_grammar_caches_are_bounded():
         assert cyk_member(g, "a" * k)
         assert enumerate_language(to_cnf(g), k) == {"a" * k}
         assert _chart_tables.cache_info().currsize <= bound
-    # one sample_kmn call at the top rank draws from 2 * MAX_RANK + 1 pools
+    # the 2 * MAX_RANK avoiding grammars of the top rank fit, with one to spare
     cached = (idempotent_grammar, avoiding_grammar, k1_grammar, k2_grammar, cowp_fg_grammar,
-              cowp_fim_grammar, _pool)
+              cowp_fim_grammar)
     for constructor in cached:
         size = constructor.cache_info().maxsize
         assert size is not None and size >= 2 * MAX_RANK + 1, constructor
     avoided = [(rank, x) for rank in range(1, 9) for x in alphabet(rank)]
-    pools = [(rank, which, cap) for rank in range(1, MAX_RANK + 1) for which in ("E", "Zx:a")
-             for cap in (0, 1)]
-    for constructor, calls in ((avoiding_grammar, avoided), (_pool, pools)):
-        size = constructor.cache_info().maxsize
-        assert len(calls) > size
-        for args in calls:
-            constructor(*args)
-            assert constructor.cache_info().currsize <= size
+    size = avoiding_grammar.cache_info().maxsize
+    assert len(avoided) > size
+    for args in avoided:
+        avoiding_grammar(*args)
+        assert avoiding_grammar.cache_info().currsize <= size
 
 
 # --- transformations

@@ -1,9 +1,11 @@
 import hashlib
 import os
 import pickle
+import random
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -201,6 +203,15 @@ def _grammar_route(*args, **kwargs):
     raise AssertionError("an oracle used the grammar route")
 
 
+def _fresh_env(**extra):
+    """The environment of a fresh interpreter that imports this checkout's
+    fimcowp."""
+    env = dict(os.environ, **extra)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_oracles_stay_off_the_grammar_route_and_pickle(monkeypatch):
     for module, name in [(cfg, "_Chart"), (cfg, "_chart_tables"), (cfg, "cyk_member"),
                          (cfg, "derive"), (cfg, "enumerate_language"),
@@ -208,6 +219,8 @@ def test_oracles_stay_off_the_grammar_route_and_pickle(monkeypatch):
         monkeypatch.setattr(module, name, _grammar_route)
     for name, (constructor, _, _) in LANGUAGES.items():
         monkeypatch.setattr(fim_grammars, constructor, _grammar_route)
+    # the sampler builds its pools without a grammar too
+    assert all(in_k1(*sample_kmn(2, m, m, m).pair()) for m in range(3))
     oracles, expected = [], []
     for which in table_names(1):
         row = language(which, 1)
@@ -219,17 +232,35 @@ def test_oracles_stay_off_the_grammar_route_and_pickle(monkeypatch):
         oracles.append((row.oracle, items))
         expected.append(decided)
     # a spawned worker unpickles the oracle in a fresh interpreter
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c",
          "import pickle, sys; rows = pickle.load(sys.stdin.buffer);"
          "print([[bool(oracle(item)) for item in items] for oracle, items in rows])"],
-        input=pickle.dumps(oracles), env=env, capture_output=True, timeout=60,
+        input=pickle.dumps(oracles), env=_fresh_env(), capture_output=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.decode() == f"{expected}\n"
+
+
+def test_grammar_pickle_rehashes_under_another_hash_seed():
+    # a worker started by spawn or forkserver has its own string hash seed
+    dumped = subprocess.run(
+        [sys.executable, "-c",
+         "import pickle, sys; from fimcowp import k1_grammar;"
+         "sys.stdout.buffer.write(pickle.dumps(k1_grammar(2)))"],
+        env=_fresh_env(PYTHONHASHSEED="0"), capture_output=True, timeout=60,
+    )
+    assert dumped.returncode == 0, dumped.stderr
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import pickle, sys; from fimcowp import k1_grammar;"
+         "loaded, fresh = pickle.load(sys.stdin.buffer), k1_grammar(2);"
+         "print(loaded == fresh, hash(loaded) == hash(fresh), len({loaded, fresh}))"],
+        input=dumped.stdout, env=_fresh_env(PYTHONHASHSEED="1"), capture_output=True,
+        timeout=60,
+    )
+    assert loaded.returncode == 0, loaded.stderr
+    assert loaded.stdout.decode() == "True True 1\n"
 
 
 # --- structured sampler
@@ -288,10 +319,43 @@ def test_sample_kmn_outputs_satisfy_oracle_and_grammar():
         assert cyk_member(k1_grammar(rank), str(marked))
 
 
+def test_sample_kmn_pools_are_the_filtered_enumeration(monkeypatch):
+    # every rng.choice of a draw is recorded: the letters, then u's
+    # idempotents, then v's avoiding ones, in the order of the factors
+    class Recorder(random.Random):
+        def choice(self, seq):
+            picked = super().choice(seq)
+            calls.append((seq, picked))
+            return picked
+
+    monkeypatch.setattr(fim_grammars, "random", SimpleNamespace(Random=Recorder))
+    for rank in (1, 2, 3):
+        for cap in (0, 1, 2, 3):
+            # the words of length <= 2*cap, filtered through the table's oracles
+            idem = [w for w in enumerate_words(rank, 2 * cap) if language("E", rank).oracle(w)]
+            avoiding = {y: [w for w in idem if language("Zx:" + y, rank).oracle(w)]
+                        for y in alphabet(rank)}
+            seen = set()
+            for seed in range(20):
+                m, n = seed % 3, (seed // 3) % 3
+                calls = []
+                sample_kmn(rank, m, n, seed, cap)
+                letters = [picked for _, picked in calls[:m + 1 + n]]
+                xs, x, ys = letters[:m], letters[m], letters[m + 1:]
+                pools = [list(seq) for seq, _ in calls[m + 1 + n:]]
+                assert pools[:m + 3 + n] == [idem] * (m + 3 + n), (rank, cap, seed)
+                avoided = xs + [x] + [y.swapcase() for y in ys]
+                assert pools[m + 3 + n:] == [avoiding[y] for y in avoided], (rank, cap, seed)
+                seen.update(avoided)
+            assert seen == set(alphabet(rank)), (rank, cap)
+
+
 def test_sample_kmn_validates_arguments():
     with pytest.raises(ValueError):
         sample_kmn(1, -1, 0, 0)
     with pytest.raises(ValueError):
         sample_kmn(1, 0, -2, 0)
+    with pytest.raises(ValueError):
+        sample_kmn(1, 0, 0, 0, cap=-1)
     with pytest.raises(ValueError):
         sample_kmn(0, 0, 0, 0)

@@ -136,8 +136,11 @@ def to_cnf(grammar: Grammar) -> Grammar:
     language, keeping the empty word iff the original derives it.  Only an
     export format: membership and derivations use the chart below.
 
-    Pipeline: fresh start, terminal wrapping, binarization, nullable
-    elimination, unit elimination, trim of unproductive/unreachable symbols.
+    Pipeline: fresh start; terminal wrapping and binarization in one loop;
+    nullable elimination, dropping at most one symbol of each (now at most
+    two-symbol) body; unit elimination and trim as one expansion from the
+    start, each reached head taking the productive non-unit bodies of every
+    symbol its unit chains reach.
     """
     terminals = grammar.terminals
     used = set(grammar.nonterminals) | set(terminals)
@@ -151,20 +154,18 @@ def to_cnf(grammar: Grammar) -> Grammar:
         return name
 
     start = fresh(grammar.start + "'")
-    prods = [Production(start, (grammar.start,)), *grammar.productions]
 
-    # TERM: wrap terminals occurring in bodies of length >= 2
+    # TERM+BIN: wrap terminals in bodies of length >= 2 (a wrapper is made
+    # the first time its terminal is seen), split bodies longer than two
     wrappers: dict[str, str] = {}
-    for _, body in prods:
-        for s in body if len(body) >= 2 else ():
-            if s in terminals and s not in wrappers:
-                wrappers[s] = fresh(f"[{s}]")
-
-    # BIN: split bodies longer than two
-    binned = [Production(name, (t,)) for t, name in wrappers.items()]
+    binned: list[Production] = []
     counters: dict[str, int] = {}
-    for head, body in prods:
+    for head, body in [Production(start, (grammar.start,)), *grammar.productions]:
         if len(body) >= 2:
+            for s in body:
+                if s in terminals and s not in wrappers:
+                    wrappers[s] = fresh(f"[{s}]")
+                    binned.append(Production(wrappers[s], (s,)))
             body = tuple(wrappers.get(s, s) for s in body)
         current = head
         while len(body) > 2:
@@ -174,37 +175,35 @@ def to_cnf(grammar: Grammar) -> Grammar:
             current, body = aux, body[1:]
         binned.append(Production(current, body))
 
-    # DEL: drop nullable occurrences; the nonempty bodies of each head
+    # DEL: a body and the body without one nullable symbol, never the empty one
     nullable = _generating(binned)
-    bodies: dict[str, set[tuple[str, ...]]] = {}
+    table: set[Production] = set()
     for head, body in binned:
-        variants: set[tuple[str, ...]] = {()}
-        for symbol in body:
-            grown = {v + (symbol,) for v in variants}
-            variants = grown | variants if symbol in nullable else grown
-        variants.discard(())
-        bodies.setdefault(head, set()).update(variants)
+        dropped = [body[:i] + body[i + 1:] for i, s in enumerate(body) if s in nullable]
+        table.update(Production(head, v) for v in [body, *dropped] if v)
 
-    # UNIT: A -> B is an edge; A takes every other body of each B it reaches.
-    # Epsilon stays only at the start, which no body mentions.
-    units = {a: [v[0] for v in vs if len(v) == 1 and v[0] not in terminals]
-             for a, vs in bodies.items()}
-    unitless = {Production(a, v) for a in bodies for b in _reach(units, a)
-                for v in bodies.get(b, ()) if len(v) == 2 or v[0] in terminals}
-    if start in nullable:
-        unitless.add(Production(start, ()))
+    # UNIT+TRIM: unit chains keep each symbol's words, so the productive
+    # symbols are those of the epsilon-free table.  Epsilon stays only at
+    # the start, which no body mentions.
+    productive = _generating(table, terminals)
+    units: dict[str, list] = {}  # A -> every B with A -> B
+    kept: dict[str, list] = {}  # A -> its productive bodies of two symbols or one terminal
+    for head, body in table:
+        if len(body) == 1 and body[0] not in terminals:
+            units.setdefault(head, []).append(body[0])
+        elif all(s in productive for s in body):
+            kept.setdefault(head, []).append(body)
+    rules = [(start, ())] if start in nullable else []
+    nts, todo = {start}, [start]
+    while todo:
+        head = todo.pop()
+        bodies = {body for b in _reach(units, head) for body in kept.get(b, ())}
+        rules.extend((head, body) for body in bodies)
+        reached = {s for body in bodies for s in body if s not in terminals} - nts
+        nts |= reached
+        todo.extend(reached)
 
-    # TRIM: productive then reachable
-    productive = _generating(unitless, terminals)
-    trimmed = {p for p in unitless if all(s in productive for s in (p.head, *p.body))}
-    edges: dict[str, list[str]] = {}
-    for head, body in trimmed:
-        edges.setdefault(head, []).extend(body)
-    reachable = _reach(edges, start)
-    final = {p for p in trimmed if p.head in reachable}
-    nts = {start} | {s for p in final for s in (p.head, *p.body) if s not in terminals}
-
-    cnf = Grammar(grammar.terminals, frozenset(nts), tuple(final), start)
+    cnf = Grammar(grammar.terminals, frozenset(nts), tuple(rules), start)
     for head, body in cnf.productions:
         assert (
             (len(body) == 2 and all(s in cnf.nonterminals for s in body))

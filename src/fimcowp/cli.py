@@ -171,12 +171,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_parse)
 
     p = sub.add_parser("enumerate", parents=[named], help="list the language up to a length bound")
-    p.add_argument("--max-len", type=_nonneg, required=True)
+    p.add_argument("--max-len", type=_nonneg, required=True,
+                   help="longest word listed, counting every symbol, # included")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("crosscheck", parents=[named],
                        help="compare a grammar against its semantic oracle")
-    p.add_argument("--max-len", type=_nonneg, required=True)
+    p.add_argument("--max-len", type=_nonneg, required=True,
+                   help="counts letters only: |w| for a word, |u|+|t| for a marked word u#t")
     p.add_argument("--jobs", type=_jobs, default=1)
     p.set_defaults(func=_cmd_crosscheck)
 

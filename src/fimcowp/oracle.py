@@ -10,7 +10,7 @@ import os
 import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import islice, product
 from typing import Callable, Iterable, Iterator
 
@@ -57,8 +57,8 @@ class CrosscheckReport:
     universe: int
     agreements: int
     false_accepts: list[str]
-    false_rejects: list[str]
     false_accept_count: int
+    false_rejects: list[str]
     false_reject_count: int
     elapsed_ms: float = field(compare=False)
 
@@ -67,15 +67,8 @@ class CrosscheckReport:
         return self.false_accept_count == 0 and self.false_reject_count == 0
 
     def to_json_dict(self) -> dict:
-        return {
-            "universe": self.universe,
-            "agreements": self.agreements,
-            "false_accepts": list(self.false_accepts),
-            "false_accept_count": self.false_accept_count,
-            "false_rejects": list(self.false_rejects),
-            "false_reject_count": self.false_reject_count,
-            "elapsed_ms": round(self.elapsed_ms, 3),
-        }
+        # the fields are declared in the report's JSON key order
+        return {**asdict(self), "elapsed_ms": round(self.elapsed_ms, 3)}
 
 
 def _check_block(grammar: Grammar, predicate: Callable, items: Iterable) -> tuple[list, list]:
@@ -181,4 +174,4 @@ def crosscheck(
         examples = [_smallest(x + y) for x, y in zip(examples, block_examples)]
     (frs, fas), (fr_count, fa_count, agree) = examples, counts
     elapsed_ms = (time.perf_counter() - started) * 1000.0
-    return CrosscheckReport(sum(counts), agree, fas, frs, fa_count, fr_count, elapsed_ms)
+    return CrosscheckReport(sum(counts), agree, fas, fa_count, frs, fr_count, elapsed_ms)

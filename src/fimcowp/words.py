@@ -39,9 +39,10 @@ CANONICAL_ORDER = str.maketrans({c: i for i, c in enumerate(alphabet(MAX_RANK) +
 
 def parse_letter(text: str, rank: int) -> str:
     """Check that text is one letter at this rank and return it."""
+    letters = alphabet(rank)  # a bad rank raises here
     if len(text) != 1 or not text.isascii() or not text.isalpha():
         raise WordSyntaxError(f"not a generator letter: {text!r}")
-    if ord(text.lower()) - ord("a") >= rank:
+    if text not in letters:
         raise WordSyntaxError(f"generator {text!r} out of range for rank {rank}")
     return text
 
@@ -52,7 +53,8 @@ def parse_word(text: str, rank: int) -> str:
         raise WordSyntaxError(f"unexpected {MARKER!r} in word {text!r}")
     letters = _LETTERS.get(rank)
     if letters is None or not letters.issuperset(text):
-        # name the first bad letter, or check every letter at a bad rank
+        # a bad rank raises in alphabet; otherwise name the first bad letter
+        alphabet(rank)
         for char in dict.fromkeys(text):  # distinct letters, in order of first use
             parse_letter(char, rank)
     return text

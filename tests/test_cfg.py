@@ -542,6 +542,66 @@ def test_to_cnf_shape_and_language():
         assert enumerate_language(cnf, 5) == enumerate_language(g, 5)
 
 
+def reference_cnf_bnf(grammar):
+    """BNF of the five-step CNF pipeline: TERM (wrap every terminal first),
+    BIN, DEL by growing sets of variants, UNIT over every head, then TRIM
+    of unproductive and unreachable symbols over the unit-expanded rules."""
+    terminals = grammar.terminals
+    used = set(grammar.nonterminals) | set(terminals)
+
+    def fresh(base):
+        name, k = base, 1
+        while name in used:
+            k += 1
+            name = f"{base}{k}"
+        used.add(name)
+        return name
+
+    start = fresh(grammar.start + "'")
+    prods = [Production(start, (grammar.start,)), *grammar.productions]
+    wrappers = {}
+    for _, body in prods:
+        for s in body if len(body) >= 2 else ():
+            if s in terminals and s not in wrappers:
+                wrappers[s] = fresh(f"[{s}]")
+    binned = [Production(name, (t,)) for t, name in wrappers.items()]
+    counters = {}
+    for head, body in prods:
+        if len(body) >= 2:
+            body = tuple(wrappers.get(s, s) for s in body)
+        current = head
+        while len(body) > 2:
+            counters[head] = counters.get(head, 0) + 1
+            aux = fresh(f"{head}.{counters[head]}")
+            binned.append(Production(current, (body[0], aux)))
+            current, body = aux, body[1:]
+        binned.append(Production(current, body))
+    nullable = cfg._generating(binned)
+    bodies = {}
+    for head, body in binned:
+        variants = {()}
+        for symbol in body:
+            grown = {v + (symbol,) for v in variants}
+            variants = grown | variants if symbol in nullable else grown
+        variants.discard(())
+        bodies.setdefault(head, set()).update(variants)
+    units = {a: [v[0] for v in vs if len(v) == 1 and v[0] not in terminals]
+             for a, vs in bodies.items()}
+    unitless = {Production(a, v) for a in bodies for b in cfg._reach(units, a)
+                for v in bodies.get(b, ()) if len(v) == 2 or v[0] in terminals}
+    if start in nullable:
+        unitless.add(Production(start, ()))
+    productive = cfg._generating(unitless, terminals)
+    trimmed = {p for p in unitless if all(s in productive for s in (p.head, *p.body))}
+    edges = {}
+    for head, body in trimmed:
+        edges.setdefault(head, []).extend(body)
+    reachable = cfg._reach(edges, start)
+    final = {p for p in trimmed if p.head in reachable}
+    nts = {start} | {s for p in final for s in (p.head, *p.body) if s not in terminals}
+    return grammar_to_bnf(Grammar(terminals, nts, final, start))
+
+
 @settings(max_examples=200, deadline=None)
 @given(small_grammars())
 def test_to_cnf_shape_and_language_on_random_grammars(grammar):
@@ -549,6 +609,7 @@ def test_to_cnf_shape_and_language_on_random_grammars(grammar):
     cnf = to_cnf(grammar)
     assert cnf_shape_ok(cnf)
     assert enumerate_language(cnf, 5) == enumerate_language(grammar, 5)
+    assert grammar_to_bnf(cnf) == reference_cnf_bnf(grammar)
 
 
 # sha256 of grammar_to_bnf(to_cnf(g)) for every language at ranks 1-2, so

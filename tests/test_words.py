@@ -153,17 +153,28 @@ def test_parse_letter_rejects_junk():
         parse_letter("c", 2)
 
 
+def test_bad_rank_raises_as_in_alphabet():
+    # letters alone do not show a bad rank: 'a' is a letter at every rank
+    for call in (lambda: parse_word("a", 27), lambda: parse_word("", 0),
+                 lambda: parse_marked("#", 99), lambda: parse_letter("a", 27)):
+        with pytest.raises(ValueError, match="rank must be between 1 and 26") as info:
+            call()
+        assert not isinstance(info.value, WordSyntaxError)
+
+
 def _outcome(fn, *args):
     try:
         return fn(*args)
-    except WordSyntaxError as exc:
+    except ValueError as exc:  # WordSyntaxError, or a bad rank
         return f"error: {exc}"
 
 
 def _parse_word_letter_by_letter(text, rank):
-    # the check one letter at a time, which names the first bad letter
+    # the check one letter at a time, which names the first bad letter,
+    # after the marker and the rank
     if "#" in text:
         raise WordSyntaxError(f"unexpected '#' in word {text!r}")
+    alphabet(rank)
     for char in dict.fromkeys(text):
         parse_letter(char, rank)
     return text

@@ -14,7 +14,6 @@ own productions.  Chomsky normal form (`to_cnf`) is only an export format.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
 from typing import Collection, Iterator, Mapping, NamedTuple, Sequence
@@ -31,21 +30,26 @@ class Production(NamedTuple):
     body: tuple[str, ...]
 
 
-@dataclass(frozen=True)
 class Grammar:
-    terminals: frozenset[str]
-    nonterminals: frozenset[str]
-    productions: tuple[Production, ...]
-    start: str
+    """Terminals, nonterminals, productions and start symbol; read-only.
+    The productions are deduplicated and sorted, and the hash is taken once."""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "terminals", frozenset(self.terminals))
-        object.__setattr__(self, "nonterminals", frozenset(self.nonterminals))
-        prods = tuple(sorted({Production(h, tuple(b)) for h, b in self.productions}))
-        object.__setattr__(self, "productions", prods)
+    __slots__ = ("terminals", "nonterminals", "productions", "start", "_hash")
+
+    def __init__(self, terminals: Collection[str], nonterminals: Collection[str],
+                 productions: Collection[tuple[str, Sequence[str]]], start: str) -> None:
+        prods = tuple(sorted({Production(h, tuple(b)) for h, b in productions}))
+        fields = (frozenset(terminals), frozenset(nonterminals), prods, start)
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
         self._validate()
-        key = (self.terminals, self.nonterminals, prods, self.start)
-        object.__setattr__(self, "_hash", hash(key))
+        object.__setattr__(self, "_hash", hash(fields))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def _validate(self) -> None:
         overlap = self.terminals & self.nonterminals
@@ -64,14 +68,25 @@ class Grammar:
                 if symbol not in declared:
                     raise GrammarError(f"undeclared symbol {symbol!r} in production for {head!r}")
 
+    def _key(self) -> tuple:
+        return self.terminals, self.nonterminals, self.productions, self.start
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
     def __hash__(self) -> int:
-        # dataclass generates __eq__ over the four fields and keeps this hash
         return self._hash
+
+    def __repr__(self) -> str:
+        return (f"Grammar(terminals={self.terminals!r}, nonterminals={self.nonterminals!r}, "
+                f"productions={self.productions!r}, start={self.start!r})")
 
     def __reduce__(self) -> tuple:
         # rebuild on unpickling, so that the hash is taken under the loading
         # interpreter's string hash seed
-        return Grammar, (self.terminals, self.nonterminals, self.productions, self.start)
+        return Grammar, self._key()
 
 
 def grammar_stats(grammar: Grammar) -> tuple[int, int]:

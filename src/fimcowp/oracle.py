@@ -9,10 +9,8 @@ from __future__ import annotations
 import os
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
 from itertools import islice, product
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .cfg import Grammar, _Chart
 from .cfg import cyk_member  # noqa: F401  kept: perfbench/layers.py traces it here by name
@@ -52,23 +50,22 @@ def enumerate_marked(rank: int, max_len: int) -> Iterator[MarkedWord]:
             yield MarkedWord(left, right)
 
 
-@dataclass
-class CrosscheckReport:
+class CrosscheckReport(NamedTuple):
+    # the fields in the report's JSON key order
     universe: int
     agreements: int
     false_accepts: list[str]
     false_accept_count: int
     false_rejects: list[str]
     false_reject_count: int
-    elapsed_ms: float = field(compare=False)
+    elapsed_ms: float
 
     @property
     def clean(self) -> bool:
         return self.false_accept_count == 0 and self.false_reject_count == 0
 
     def to_json_dict(self) -> dict:
-        # the fields are declared in the report's JSON key order
-        return {**asdict(self), "elapsed_ms": round(self.elapsed_ms, 3)}
+        return {**self._asdict(), "elapsed_ms": round(self.elapsed_ms, 3)}
 
 
 def _check_block(grammar: Grammar, predicate: Callable, items: Iterable) -> tuple[list, list]:
@@ -129,7 +126,10 @@ def _pooled_blocks(
 ) -> Iterator[tuple]:
     """The results of the universe's chunks, in chunk order, from worker
     processes; at most two chunks per worker are in flight, so memory
-    follows jobs, not the size of the universe."""
+    follows jobs, not the size of the universe.  The pool module is
+    imported here, so a serial call never loads multiprocessing."""
+    from concurrent.futures import ProcessPoolExecutor
+
     it = iter(universe)
     chunks = iter(lambda: list(islice(it, _CHUNK)), [])
     with ProcessPoolExecutor(

@@ -10,8 +10,8 @@ word serializes as ``u#t`` with exactly one ``#``.  The empty word prints as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from string import ascii_lowercase, ascii_uppercase
+from typing import NamedTuple
 
 MARKER = "#"
 EPSILON_TOKEN = "1"
@@ -76,8 +76,7 @@ def rev_invert(word: str) -> str:
     return word[::-1].translate(_INVERSE)
 
 
-@dataclass(frozen=True)
-class MarkedWord:
+class MarkedWord(NamedTuple):
     left: str
     right: str
 

@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import pytest
 
 from fimcowp import oracle
@@ -37,7 +39,9 @@ class RecordingPool:
 
 @pytest.fixture
 def recording_pool(monkeypatch):
-    monkeypatch.setattr(oracle, "ProcessPoolExecutor", RecordingPool)
+    # oracle imports the pool class from concurrent.futures when it starts
+    # one, so the stand-in goes there
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(oracle, "_worker_args", ())
     for name in ("sizes", "initargs", "submitted"):
         monkeypatch.setattr(RecordingPool, name, [], raising=False)

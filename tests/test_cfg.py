@@ -164,6 +164,36 @@ def test_grammar_equality_and_hash():
     assert g1 != tiny([("S", "b")])
 
 
+def test_grammar_record_behaviour():
+    # Grammar is a read-only slotted class; these pin what the frozen
+    # dataclass it replaced gave: repr, equality, hashing, keyword
+    # construction, read-only fields and pickling
+    g = Grammar(terminals={"a"}, nonterminals=["S"], productions=[("S", "a"), ("S", ())],
+                start="S")
+    assert repr(g) == (
+        "Grammar(terminals=frozenset({'a'}), nonterminals=frozenset({'S'}), "
+        "productions=(Production(head='S', body=()), Production(head='S', body=('a',))), "
+        "start='S')"
+    )
+    assert (g.terminals, g.nonterminals, g.start) == (frozenset("a"), frozenset("S"), "S")
+    assert g.productions == (Production("S", ()), Production("S", ("a",)))
+    same = Grammar({"a"}, {"S"}, [("S", ("a",)), ("S", ()), ("S", ["a"])], "S")
+    assert g == same and hash(g) == hash(same) and len({g, same}) == 1
+    assert hash(g) == hash((g.terminals, g.nonterminals, g.productions, g.start))
+    assert g != Grammar({"a", "b"}, {"S"}, g.productions, "S")
+    assert g != (g.terminals, g.nonterminals, g.productions, g.start)
+    for name in ("terminals", "nonterminals", "productions", "start", "other"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, "S")
+        with pytest.raises(AttributeError):
+            delattr(g, name)
+    assert repr(g) == repr(same)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        clone = pickle.loads(pickle.dumps(g, protocol))
+        assert clone == g and hash(clone) == hash(g) and repr(clone) == repr(g)
+    assert copy.copy(g) == g == copy.deepcopy(g)
+
+
 # --- CYK membership
 
 

@@ -1,11 +1,17 @@
 import hashlib
 import json
+import multiprocessing
 import os
+import pickle
 import random
+import subprocess
+import sys
 
 import pytest
+from test_fim_grammars import _fresh_env
 
 from fimcowp import (
+    CrosscheckReport,
     Grammar,
     MarkedWord,
     Production,
@@ -17,6 +23,7 @@ from fimcowp import (
     idempotent_grammar,
     in_cowp,
     is_idempotent,
+    language,
     parse_word,
 )
 from fimcowp import oracle
@@ -87,6 +94,36 @@ def test_crosscheck_invariant_and_json():
         "false_reject_count",
         "elapsed_ms",
     }
+
+
+def test_crosscheck_report_record_behaviour():
+    # CrosscheckReport is a NamedTuple; these pin what the dataclass it
+    # replaced gave (repr, keyword construction, JSON keys, order and
+    # values, pickling), and what changed: its fields are read-only and
+    # equality counts elapsed_ms
+    report = CrosscheckReport(universe=3, agreements=1, false_accepts=["a"], false_accept_count=1,
+                              false_rejects=["A", "aA"], false_reject_count=2, elapsed_ms=1.23456)
+    assert repr(report) == (
+        "CrosscheckReport(universe=3, agreements=1, false_accepts=['a'], false_accept_count=1, "
+        "false_rejects=['A', 'aA'], false_reject_count=2, elapsed_ms=1.23456)"
+    )
+    assert list(report.to_json_dict().items()) == [
+        ("universe", 3), ("agreements", 1), ("false_accepts", ["a"]), ("false_accept_count", 1),
+        ("false_rejects", ["A", "aA"]), ("false_reject_count", 2), ("elapsed_ms", 1.235),
+    ]
+    assert not report.clean and CrosscheckReport(1, 1, [], 0, [], 0, 0.0).clean
+    assert report == CrosscheckReport(3, 1, ["a"], 1, ["A", "aA"], 2, 1.23456)
+    assert report != report._replace(elapsed_ms=2.0)
+    with pytest.raises(TypeError):
+        hash(report)  # its example lists are unhashable
+    for name in ("universe", "elapsed_ms", "other"):
+        with pytest.raises(AttributeError):
+            setattr(report, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(report, name)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        clone = pickle.loads(pickle.dumps(report, protocol))
+        assert clone == report and type(clone) is CrosscheckReport
 
 
 def corrupted_idempotent_grammar():
@@ -251,6 +288,60 @@ def test_crosscheck_one_cpu_runs_serially(monkeypatch, recording_pool):
     report = crosscheck(idempotent_grammar(1), is_idempotent, enumerate_words(1, 4), jobs=4)
     assert report.clean and report.universe == 31
     assert recording_pool.sizes == []
+
+
+_POOL_MODULES = ("concurrent.futures.process", "multiprocessing")
+
+
+def test_import_loads_no_pool_and_no_dataclasses():
+    # -S: no site hook loads a module before fimcowp does.  The pool module
+    # is loaded by the first crosscheck with jobs > 1, not before.
+    script = f"""
+import json, os, sys
+import fimcowp, fimcowp.cli
+watched = {_POOL_MODULES + ("dataclasses", "inspect")!r}
+print(json.dumps([m for m in watched if m in sys.modules]))
+from fimcowp import crosscheck, enumerate_words, idempotent_grammar, is_idempotent, oracle
+os.cpu_count = lambda: 2  # a pool even on one CPU
+oracle._CHUNK = 16
+for jobs in (1, 2):
+    report = crosscheck(idempotent_grammar(1), is_idempotent, enumerate_words(1, 6), jobs=jobs)
+    print(json.dumps([[m for m in {_POOL_MODULES!r} if m in sys.modules], report.to_json_dict()]))
+"""
+    done = subprocess.run([sys.executable, "-S", "-c", script], env=_fresh_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    on_import, serial, pooled = map(json.loads, done.stdout.splitlines())
+    assert on_import == []
+    assert serial[0] == [] and pooled[0] == list(_POOL_MODULES)
+    del serial[1]["elapsed_ms"], pooled[1]["elapsed_ms"]
+    assert pooled[1] == serial[1] and serial[1]["universe"] == 127
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_crosscheck_pool_under_start_method(method):
+    # workers that start a fresh interpreter import fimcowp themselves and
+    # unpickle the grammar, the oracle and chunks of marked words
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method on this platform")
+    script = f"""
+import json, multiprocessing, os
+multiprocessing.set_start_method({method!r})
+from fimcowp import crosscheck, enumerate_marked, language, oracle
+os.cpu_count = lambda: 2  # a pool even on one CPU
+oracle._CHUNK = 64
+row = language("K1", 2)
+report = crosscheck(row.grammar(), row.oracle, enumerate_marked(2, 3), jobs=2)
+print(json.dumps([multiprocessing.get_start_method(), report.to_json_dict()]))
+"""
+    done = subprocess.run([sys.executable, "-c", script], env=_fresh_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    started, pooled = json.loads(done.stdout)
+    del pooled["elapsed_ms"]
+    row = language("K1", 2)
+    serial = report_fields(crosscheck(row.grammar(), row.oracle, enumerate_marked(2, 3)))
+    assert started == method and pooled == serial and serial["universe"] == 313
 
 
 def test_enumeration_rejects_negative_bounds():

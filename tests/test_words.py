@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -134,6 +136,27 @@ def test_marked_round_trip():
     for text in ["#", "a#", "#A", "ab#BA"]:
         assert str(parse_marked(text, 2)) == text
     assert str(MarkedWord(W("a"), W("B"))) == "a#B"
+
+
+def test_marked_word_record_behaviour():
+    # MarkedWord is a NamedTuple; these pin what the frozen dataclass it
+    # replaced gave (repr, equality, hashing, keyword construction,
+    # read-only fields, pickling), and that it is now also a tuple
+    m = MarkedWord(left="aB", right="b")
+    assert repr(m) == "MarkedWord(left='aB', right='b')"
+    assert m == MarkedWord("aB", "b") == parse_marked("aB#b", 2)
+    assert hash(m) == hash(MarkedWord("aB", "b")) == hash(("aB", "b"))
+    assert m != MarkedWord("b", "aB") and len({m, MarkedWord("aB", "b")}) == 1
+    left, right = m
+    assert m == ("aB", "b") and (left, right) == ("aB", "b")
+    for name in ("left", "right", "other"):
+        with pytest.raises(AttributeError):
+            setattr(m, name, "a")
+        with pytest.raises(AttributeError):
+            delattr(m, name)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        clone = pickle.loads(pickle.dumps(m, protocol))
+        assert clone == m and type(clone) is MarkedWord and str(clone) == "aB#b"
 
 
 def test_symbol_sort_key_orders_length_then_canonical():

@@ -13,7 +13,6 @@ own productions.  Chomsky normal form (`to_cnf`) is only an export format.
 
 from __future__ import annotations
 
-import json
 from functools import lru_cache
 from itertools import groupby
 from typing import Collection, Iterator, Mapping, NamedTuple, Sequence
@@ -114,6 +113,8 @@ def grammar_to_json_dict(grammar: Grammar) -> dict:
 
 
 def grammar_to_json(grammar: Grammar) -> str:
+    import json
+
     return json.dumps(grammar_to_json_dict(grammar), indent=2) + "\n"
 
 

@@ -8,13 +8,14 @@ before the output is written.
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from . import cfg, fim_grammars, munn, oracle, words
+
+if TYPE_CHECKING:
+    import argparse
 
 HARD_CAP_ENV = "FIMCOWP_MAXLEN_HARD"
 HARD_CAP_DEFAULT = 14
@@ -30,6 +31,8 @@ GRAMMAR_CHOICES = ", ".join(fim_grammars.LANGUAGES)
 
 
 def _rank(text: str) -> int:
+    import argparse  # only argparse calls the type checkers, so it is loaded
+
     try:
         value = int(text)
     except ValueError:
@@ -42,6 +45,8 @@ def _rank(text: str) -> int:
 def _int_at_least(low: int, kind: str) -> Callable[[str], int]:
     """An argparse type for `kind` integers, those of at least `low`."""
     def check(text: str) -> int:
+        import argparse
+
         try:
             value = int(text)
         except ValueError:
@@ -129,6 +134,8 @@ def _cmd_crosscheck(args: argparse.Namespace) -> int:
     enumerate_items = oracle.enumerate_marked if marked else oracle.enumerate_words
     universe = enumerate_items(args.rank, args.max_len)
     report = oracle.crosscheck(grammar, predicate, universe, jobs=args.jobs)
+    import json
+
     print(json.dumps(report.to_json_dict(), indent=2))
     return 0 if report.clean else 1
 
@@ -143,6 +150,8 @@ def _cmd_munn(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse  # here, so that importing the module does not load it
+
     parser = argparse.ArgumentParser(
         prog="fimcowp",
         description="Grammars and Munn-tree oracles for co-word problems of "

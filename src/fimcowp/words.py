@@ -10,13 +10,17 @@ word serializes as ``u#t`` with exactly one ``#``.  The empty word prints as
 
 from __future__ import annotations
 
-from string import ascii_lowercase, ascii_uppercase
 from typing import NamedTuple
 
 MARKER = "#"
 EPSILON_TOKEN = "1"
 
 MAX_RANK = 26
+
+# string's two ASCII alphabets, spelt out so that importing words does not
+# load string
+ascii_lowercase = "abcdefghijklmnopqrstuvwxyz"
+ascii_uppercase = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
 class WordSyntaxError(ValueError):

@@ -358,15 +358,15 @@ def test_closed_stdout_ends_quietly(argv, first):
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.Popen([sys.executable, "-m", "fimcowp.cli", *argv], env=env,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    try:
-        line = proc.stdout.readline()
-        proc.stdout.close()
-        err = proc.stderr.read()
-        code = proc.wait(timeout=60)
-    finally:
-        proc.kill()
-        proc.wait()
+    # leaving the with block closes the stderr pipe and reaps the process
+    with subprocess.Popen([sys.executable, "-m", "fimcowp.cli", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        try:
+            line = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
     assert line == first
     assert err == b"" and code == 141

@@ -295,12 +295,17 @@ _POOL_MODULES = ("concurrent.futures.process", "multiprocessing")
 
 def test_import_loads_no_pool_and_no_dataclasses():
     # -S: no site hook loads a module before fimcowp does.  The pool module
-    # is loaded by the first crosscheck with jobs > 1, not before.
+    # is loaded by the first crosscheck with jobs > 1, not before; argparse
+    # (with gettext) and json by the CLI calls that use them.  The script
+    # takes its list before it imports json itself.
     script = f"""
-import json, os, sys
+import sys
 import fimcowp, fimcowp.cli
-watched = {_POOL_MODULES + ("dataclasses", "inspect")!r}
-print(json.dumps([m for m in watched if m in sys.modules]))
+from fimcowp import cfg, fim_grammars, munn, oracle, words
+watched = {_POOL_MODULES + ("dataclasses", "inspect", "argparse", "gettext", "json", "string")!r}
+loaded = [m for m in watched if m in sys.modules]
+import json, os
+print(json.dumps(loaded))
 from fimcowp import crosscheck, enumerate_words, idempotent_grammar, is_idempotent, oracle
 os.cpu_count = lambda: 2  # a pool even on one CPU
 oracle._CHUNK = 16

@@ -24,9 +24,10 @@ class GrammarError(ValueError):
     """Malformed grammar, or input outside a grammar's alphabet."""
 
 
-class Production(NamedTuple):
-    head: str
-    body: tuple[str, ...]
+# The NamedTuples here and in words, oracle and fim_grammars are declared in
+# the functional form: a field annotation in a class body is a string under
+# `from __future__ import annotations`, which typing compiles at import.
+Production = NamedTuple("Production", [("head", str), ("body", tuple[str, ...])])
 
 
 class Grammar:
@@ -366,30 +367,27 @@ def format_tree(tree: DerivationTree, indent: int = 0) -> str:
 # The chart: membership and derivations
 
 
-class _Rule(NamedTuple):
-    # a piece of the binarised grammar in symbol ids, and its source production
-    # (for a shared auxiliary's rule, the first production that needed it)
-    head: int
-    body: tuple[int, ...]
-    production: Production
+# a piece of the binarised grammar in symbol ids, and its source production
+# (for a shared auxiliary's rule, the first production that needed it)
+_Rule = NamedTuple("_Rule", [("head", int), ("body", tuple[int, ...]), ("production", Production)])
 
-
-class _Tables(NamedTuple):
-    terminals: tuple[str, ...]  # ids 0.. name these, in sorted order
-    aux: int  # ids from here on are auxiliaries
-    start: int
-    seeds: dict[str, tuple[int, ...]]  # terminal t -> every A with A ~>* t
+_Tables = NamedTuple("_Tables", [
+    ("terminals", tuple[str, ...]),  # ids 0.. name these, in sorted order
+    ("aux", int),  # ids from here on are auxiliaries
+    ("start", int),
+    ("seeds", dict[str, tuple[int, ...]]),  # terminal t -> every A with A ~>* t
     # right child C -> (closed, ((left child B, every A' ~>* A over the rules
     # A -> B C), ...)); C is closed when its one pair is (C, heads) with C
     # among the heads.  A terminal's entry merges, by B, those of every symbol
     # it seeds, and is never closed
-    by_right: dict[int, tuple[bool, tuple[tuple[int, tuple[int, ...]], ...]]]
+    ("by_right", dict[int, tuple[bool, tuple[tuple[int, tuple[int, ...]], ...]]]),
     # closing terminal u -> ((opening terminal t's id, middle X, 1 if X is
     # nullable else 0, every A' ~>* A over the brackets A -> t X u), ...)
-    brackets: dict[str, tuple[tuple[int, int, int, tuple[int, ...]], ...]]
-    binary: dict[int, list[_Rule]]  # head -> its brackets and rules with two children
-    unit: dict[int, list[tuple[_Rule, int]]]  # head -> (rule, position it ~> to)
-    eps: dict[int, tuple[DerivationTree, ...]]  # nullable symbol -> its epsilon children
+    ("brackets", dict[str, tuple[tuple[int, int, int, tuple[int, ...]], ...]]),
+    ("binary", dict[int, list[_Rule]]),  # head -> its brackets and rules with two children
+    ("unit", dict[int, list[tuple[_Rule, int]]]),  # head -> (rule, position it ~> to)
+    ("eps", dict[int, tuple[DerivationTree, ...]]),  # nullable symbol -> its epsilon children
+])
 
 
 @lru_cache(maxsize=32)  # the tables of the 32 most recently used grammars
@@ -500,6 +498,9 @@ class _Chart:
     which the finished column k already holds, so k' would add nothing that
     k did not.  Taken lowest first, no start would ever be dropped.
 
+    `probe` answers for one more symbol: it pushes it, takes the column back
+    off as pop does, and reads the start's bit 0 from it.
+
     `tree` reads one derivation out in a single loop over a stack of spans
     to expand, terminals and epsilon trees to emit, and closings (production,
     mark) that make the output from mark on one node.  An auxiliary pushes
@@ -574,6 +575,16 @@ class _Chart:
         # the terminal dropped is the column's first key, seeds[0] in push,
         # and its position is now the number of symbols left
         self._pos[next(iter(col))] ^= 1 << len(cols) - 1
+
+    def probe(self, symbol: str) -> bool:
+        """Whether the symbols pushed so far, then symbol, form a word of the
+        language; the chart is left as it was, also when symbol is not a
+        terminal and push raises."""
+        self.push(symbol)
+        cols = self._cols
+        col = cols.pop()
+        self._pos[next(iter(col))] ^= 1 << len(cols) - 1
+        return bool(col.get(self._tables.start, 0) & 1)
 
     def accepts(self) -> bool:
         """Whether the symbols pushed so far form a word of the language."""

@@ -192,14 +192,17 @@ LANGUAGES: dict[str, tuple[str, Callable, bool]] = {
 }
 
 
-class Language(NamedTuple):
+class Language(NamedTuple("Language", [
+    # in the functional form, as cfg.Production
+    ("grammar", Callable[[], Grammar]),
+    ("oracle", Callable[[Any], bool]),
+    ("marked", bool),
+])):
     """A row of LANGUAGES at one rank: the grammar constructor bound to its
     arguments, the picklable oracle, and whether the universe is marked
     words (True) or words (False)."""
 
-    grammar: Callable[[], Grammar]
-    oracle: Callable[[Any], bool]
-    marked: bool
+    __slots__ = ()
 
 
 def language(which: str, rank: int) -> Language:

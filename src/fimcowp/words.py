@@ -65,14 +65,20 @@ def parse_word(text: str, rank: int) -> str:
 
 
 def free_reduce(word: str) -> str:
-    """The unique reduced form: delete adjacent letter/inverse pairs until none remain."""
-    out: list[str] = []
-    for letter in word:
-        if out and out[-1] == letter.swapcase():
+    """The unique reduced form: delete adjacent letter/inverse pairs until none
+    remain.  Only the ASCII letters a-z, A-Z cancel, each with the other case
+    of itself; any other symbol stays where it is."""
+    out = bytearray()
+    # x ^ 32 swaps an ASCII letter's case, and x & 95 is in A-Z for the
+    # letters and no other ASCII byte; outside ASCII only a UTF-8 lead byte
+    # passes that test, and what it follows ends a symbol, so it is never
+    # x ^ 32, itself a lead byte
+    for x in word.encode("utf-8", "surrogatepass"):
+        if out and out[-1] == x ^ 32 and 64 < x & 95 < 91:
             out.pop()
         else:
-            out.append(letter)
-    return "".join(out)
+            out.append(x)
+    return out.decode("utf-8", "surrogatepass")
 
 
 def rev_invert(word: str) -> str:
@@ -80,9 +86,9 @@ def rev_invert(word: str) -> str:
     return word[::-1].translate(_INVERSE)
 
 
-class MarkedWord(NamedTuple):
-    left: str
-    right: str
+class MarkedWord(NamedTuple("MarkedWord", [("left", str), ("right", str)])):
+    # fields in the functional form, as cfg.Production's
+    __slots__ = ()
 
     def pair(self) -> tuple[str, str]:
         """The two words compared by this marked word; the second is the

@@ -287,6 +287,18 @@ def test_chart_push_pop_matches_enumeration_and_oracle(key, steps):
         masks = {t: mask for t, mask in zip(terminals, chart._pos) if mask}
         assert masks == positions(word)
         assert chart.accepts() == (word in language) == oracle(word), word
+        # probe answers for word + x and leaves the chart as it was; a
+        # foreign symbol raises and changes nothing either
+        state = len(chart), list(chart._pos), [dict(col) for col in chart._cols]
+        for x in "aAbB#z":
+            if x not in grammar.terminals:
+                with pytest.raises(GrammarError):
+                    chart.probe(x)
+            elif len(word) < CHART_BOUNDS[key]:
+                assert chart.probe(x) == (word + x in language) == oracle(word + x), word + x
+            else:
+                assert chart.probe(x) == oracle(word + x), word + x
+            assert (len(chart), chart._pos, chart._cols) == state
 
 
 def test_idempotent_chart_sets_exactly_the_reducing_spans():

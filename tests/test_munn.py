@@ -117,6 +117,8 @@ def test_is_idempotent_examples():
     assert is_idempotent("")
     assert is_idempotent(W("aA"))
     assert not is_idempotent(W("a"))
+    # only letters cancel: the markers between a and A stay
+    assert not is_idempotent("a##A")
 
 
 def test_idempotent_characterization():

@@ -18,6 +18,7 @@ from fimcowp import (
     alphabet,
     cowp_fim_grammar,
     crosscheck,
+    cyk_member,
     enumerate_marked,
     enumerate_words,
     idempotent_grammar,
@@ -25,6 +26,7 @@ from fimcowp import (
     is_idempotent,
     language,
     parse_word,
+    symbol_sort_key,
 )
 from fimcowp import oracle
 
@@ -214,6 +216,62 @@ def test_crosscheck_order_independent(grammar, predicate, universe):
     assert report_fields(crosscheck(grammar, predicate, sorted(items, key=str))) == expected
 
 
+def stem_runs(items, seed):
+    """The items shuffled, each in a run that moves _check_block's stem every
+    way: the item twice, the shortest item (the empty word, or the marker on
+    its own), the item again, one of its prefixes and one of its one-symbol
+    extensions that are items, each followed by the item."""
+    rng = random.Random(seed)
+    by_text = {str(item): item for item in items}
+    symbols = sorted(set("".join(by_text)))
+    out = []
+    for item in rng.sample(items, len(items)):
+        text = str(item)
+        prefixes = [by_text[text[:k]] for k in range(len(text)) if text[:k] in by_text]
+        longer = [by_text[text + x] for x in symbols if text + x in by_text]
+        out += [item, item, items[0], item]
+        for near in (prefixes, longer):
+            if near:
+                out += [rng.choice(near), item]
+    return out
+
+
+def reference_block(grammar, predicate, items):
+    """_check_block's result from a fresh cyk_member per text: all examples
+    kept, then cut to the earliest EXAMPLE_CAP in canonical order."""
+    counts, examples = [0, 0, 0], [[], []]
+    for item in items:
+        accepted = cyk_member(grammar, str(item))
+        if accepted == bool(predicate(item)):
+            counts[2] += 1
+        else:
+            counts[accepted] += 1
+            examples[accepted].append(str(item))
+    return counts, [sorted(found, key=symbol_sort_key)[:oracle.EXAMPLE_CAP] for found in examples]
+
+
+@pytest.mark.parametrize(
+    "grammar, predicate, items, found",
+    [
+        (idempotent_grammar(2), is_idempotent, list(enumerate_words(2, 4)), [False, False]),
+        (language("K1", 1).grammar(), language("K1", 1).oracle, list(enumerate_marked(1, 4)),
+         [False, False]),
+        # K1's grammar against K2's oracle: examples on both sides
+        (language("K1", 1).grammar(), language("K2", 1).oracle, list(enumerate_marked(1, 4)),
+         [True, True]),
+        (corrupted_idempotent_grammar(), is_idempotent, list(enumerate_words(1, 6)), [True, False]),
+    ],
+)
+def test_check_block_matches_a_fresh_parse_per_item(grammar, predicate, items, found):
+    # the chart holds each item's stem and probes its last symbol; the
+    # reference parses every text on its own
+    for universe in (items, stem_runs(items, 0)):
+        got = oracle._check_block(grammar, predicate, universe)
+        assert got == reference_block(grammar, predicate, universe)
+    # [false rejects, false accepts] found, each side
+    assert [bool(examples) for examples in got[1]] == found
+
+
 def test_crosscheck_caps_false_accepts_serial_and_pooled(monkeypatch, recording_pool):
     # 412 false accepts, past 2 * EXAMPLE_CAP, so the accept side's capping
     # runs; pooled in chunks of 100 words, each block caps its own too
@@ -297,15 +355,25 @@ def test_import_loads_no_pool_and_no_dataclasses():
     # -S: no site hook loads a module before fimcowp does.  The pool module
     # is loaded by the first crosscheck with jobs > 1, not before; argparse
     # (with gettext) and json by the CLI calls that use them.  The script
-    # takes its list before it imports json itself.
+    # takes its list before it imports json itself.  No text is compiled on
+    # import: typing would compile each NamedTuple field annotation that is
+    # a string (a ForwardRef); a module's own source is compiled from bytes.
     script = f"""
-import sys
+import builtins, sys
+compiled, real_compile = [], builtins.compile
+def counting_compile(source, *args, **kwargs):
+    if isinstance(source, str):
+        compiled.append(source)
+    return real_compile(source, *args, **kwargs)
+builtins.compile = counting_compile
 import fimcowp, fimcowp.cli
 from fimcowp import cfg, fim_grammars, munn, oracle, words
+builtins.compile = real_compile
 watched = {_POOL_MODULES + ("dataclasses", "inspect", "argparse", "gettext", "json", "string")!r}
 loaded = [m for m in watched if m in sys.modules]
 import json, os
 print(json.dumps(loaded))
+print(json.dumps(compiled))
 from fimcowp import crosscheck, enumerate_words, idempotent_grammar, is_idempotent, oracle
 os.cpu_count = lambda: 2  # a pool even on one CPU
 oracle._CHUNK = 16
@@ -316,8 +384,9 @@ for jobs in (1, 2):
     done = subprocess.run([sys.executable, "-S", "-c", script], env=_fresh_env(),
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    on_import, serial, pooled = map(json.loads, done.stdout.splitlines())
+    on_import, compiled, serial, pooled = map(json.loads, done.stdout.splitlines())
     assert on_import == []
+    assert compiled == []
     assert serial[0] == [] and pooled[0] == list(_POOL_MODULES)
     del serial[1]["elapsed_ms"], pooled[1]["elapsed_ms"]
     assert pooled[1] == serial[1] and serial[1]["universe"] == 127

@@ -67,6 +67,15 @@ def test_free_reduce_examples():
     assert free_reduce(W("aBba")) == naive_reduce(W("aBba"))
 
 
+def test_free_reduce_cancels_only_letter_inverse_pairs():
+    # a symbol that is not an ASCII letter cancels with nothing, not even
+    # with its own case partner or itself
+    for text in ("##", "11", "éÉ", "a##A", "\ud800\ud800"):
+        assert free_reduce(text) == text
+    assert free_reduce("a#aA#A") == "a##A"
+    assert free_reduce("éaAÉ") == "éÉ"
+
+
 def test_free_reduce_matches_naive_oracle_exhaustively():
     for w in enumerate_words(2, 6):
         assert free_reduce(w) == naive_reduce(w)

@@ -162,6 +162,17 @@ def _avoiding(letter: str, item: str) -> bool:
     return munn.is_idempotent(item) and munn.avoids(item, letter)
 
 
+class _Read(partial):
+    """An oracle on words that a crosscheck can also read along its chart's
+    stem: reader() is a fresh munn.IdempotentReader that avoids the letter
+    this partial binds, if it binds one."""
+
+    __slots__ = ()
+
+    def reader(self) -> munn.IdempotentReader:
+        return munn.IdempotentReader(*self.args)
+
+
 def _k1(item: MarkedWord) -> bool:
     return munn.in_k1(*item.pair())
 
@@ -183,8 +194,8 @@ ZX = "Zx:<letter>"
 
 # name -> (grammar constructor, oracle, whether the universe is marked words)
 LANGUAGES: dict[str, tuple[str, Callable, bool]] = {
-    "E": ("idempotent_grammar", _idempotent, False),
-    ZX: ("avoiding_grammar", _avoiding, False),
+    "E": ("idempotent_grammar", _Read(_idempotent), False),
+    ZX: ("avoiding_grammar", _Read(_avoiding), False),
     "K1": ("k1_grammar", _k1, True),
     "K2": ("k2_grammar", _k2, True),
     "coWP-FG": ("cowp_fg_grammar", _fg_nontrivial, True),
@@ -216,7 +227,8 @@ def language(which: str, rank: int) -> Language:
     elif which not in LANGUAGES:
         raise ValueError(f"unknown grammar {which!r}; choices: {', '.join(LANGUAGES)}")
     constructor, oracle, marked = LANGUAGES[which]
-    oracle = partial(oracle, *args) if args else oracle
+    # the letter joins the args of ZX's _Read, which stays a _Read
+    oracle = type(oracle)(oracle, *args) if args else oracle
     return Language(partial(globals()[constructor], rank, *args), oracle, marked)
 
 

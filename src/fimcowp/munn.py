@@ -12,13 +12,16 @@ path steps back to the parent, and any other letter steps to the child for
 that letter, created if it is missing.  Reading costs one step per letter
 and builds no vertex string; ``MunnTree.edges`` spells the vertices out on
 first use.  The deciders walk both words on one trie and build no tree.
+``IdempotentReader`` decides idempotency, and the avoidance of a root edge,
+one pushed letter at a time on a stack, for words that share prefixes.
 """
 
 from __future__ import annotations
 
 from itertools import islice
 
-from .words import CANONICAL_ORDER, EPSILON_TOKEN, MarkedWord, free_reduce, rev_invert
+from .words import (CANONICAL_ORDER, EPSILON_TOKEN, MarkedWord, ascii_lowercase, ascii_uppercase,
+                    free_reduce, rev_invert)
 
 # A trie is (children, parents, inverses): children maps parent << 7 | code
 # to the child's id, where code is a letter's ASCII code; parents[i] and
@@ -170,16 +173,83 @@ def munn_product(s: MunnTree, t: MunnTree) -> MunnTree:
 
 
 def is_idempotent(word: str) -> bool:
+    _codes(word)  # a non-word raises, as for every decider
     return not free_reduce(word)
+
+
+_LETTERS = frozenset(ascii_lowercase + ascii_uppercase)
+
+
+def _letter_code(x: str) -> int:
+    if x not in _LETTERS:
+        raise ValueError(f"expected one letter, got {x!r}")
+    return ord(x)
 
 
 def avoids(word: str, x: str) -> bool:
     """True when the tree of the word lacks the edge joining the root to the
     one-letter vertex x."""
-    if len(x) != 1 or not (x.isascii() and x.isalpha()):
-        raise ValueError(f"expected one letter, got {x!r}")
+    code = _letter_code(x)
     children, *_ = _read(word)
-    return ord(x) not in children
+    return code not in children
+
+
+class IdempotentReader:
+    """A word read one letter at a time, grown by push and shrunk by pop,
+    that answers for one more letter: probe(s) is is_idempotent(w + s) for
+    the word w held, and with a letter x to avoid, also avoids(w + s, x).
+
+    It keeps the free-reduction stack of w, the vertex where w's path ends,
+    and per pushed letter the letter that push cancelled (0 when it grew the
+    stack), which pop puts back.  w + s ends at the root iff the stack is
+    the one letter s^-1, and then its tree lacks the edge to x iff no prefix
+    of w ends at the vertex x; visits[i] counts the prefixes of w[:i] that
+    do.  Memory is linear in len(w)."""
+
+    __slots__ = ("_stack", "_undo", "_visits", "_avoid")
+
+    def __init__(self, avoid: str = "") -> None:
+        self._stack = bytearray()
+        self._undo = bytearray()
+        self._visits = [0]
+        # 0 matches no stack letter, so with nothing to avoid no visit counts
+        self._avoid = _letter_code(avoid) if avoid else 0
+
+    def push(self, symbol: str) -> None:
+        if symbol not in _LETTERS:
+            raise ValueError(f"expected one letter, got {symbol!r}")
+        x = ord(symbol)
+        stack = self._stack
+        if stack and stack[-1] == x ^ 32:
+            self._undo.append(stack.pop())
+        else:
+            stack.append(x)
+            self._undo.append(0)
+        self._visits.append(self._visits[-1] + (len(stack) == 1 and stack[0] == self._avoid))
+
+    def pop(self) -> None:
+        """Drop the last letter pushed.  On an empty reader, raise
+        IndexError and change nothing."""
+        if not self._undo:
+            raise IndexError("pop from an empty reader")
+        x = self._undo.pop()
+        if x:
+            self._stack.append(x)
+        else:
+            self._stack.pop()
+        self._visits.pop()
+
+    def probe(self, symbol: str) -> bool:
+        """Whether the word held, then symbol, is idempotent and avoids the
+        letter; the reader is left as it was."""
+        if symbol not in _LETTERS:
+            raise ValueError(f"expected one letter, got {symbol!r}")
+        stack = self._stack
+        return len(stack) == 1 and stack[0] == ord(symbol) ^ 32 and not self._visits[-1]
+
+    def accepts(self) -> bool:
+        """Whether the word held is idempotent and avoids the letter."""
+        return not self._stack and not self._visits[-1]
 
 
 def fim_equal(u: str, v: str) -> bool:

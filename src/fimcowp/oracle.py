@@ -79,11 +79,20 @@ def _check_block(grammar: Grammar, predicate: Callable, items: Iterable) -> tupl
     the first mismatch) and push the rest.  The empty word reads the empty
     chart.  Neighbours in length-then-lex order share most of their stem, at
     rank 2 three in four share all of it; any order is correct.
+
+    An oracle that offers a reader (E's and every Zx:x's, a
+    munn.IdempotentReader) is read beside the chart: the same pops and
+    pushes, and a probe of the same last symbol, each O(1), in memory linear
+    in the stem's length.  Any other oracle decides each whole item.
     Returns [false rejects, false accepts, agreements] and the earliest
     examples of the first two: a disagreement is filed under the chart's
     answer."""
     counts, examples = [0, 0, 0], [[], []]
     chart = _Chart(grammar)
+    push, pop, probe = chart.push, chart.pop, chart.probe
+    reader = predicate.reader() if hasattr(predicate, "reader") else None
+    if reader is not None:
+        read_push, read_pop, read_probe = reader.push, reader.pop, reader.probe
     previous = ""
     for item in items:
         text = str(item)
@@ -95,12 +104,22 @@ def _check_block(grammar: Grammar, predicate: Callable, items: Iterable) -> tupl
                     break
                 keep += 1
             for _ in range(len(previous) - keep):
-                chart.pop()
+                pop()
+                if reader is not None:
+                    read_pop()
             for symbol in stem[keep:]:
-                chart.push(symbol)
+                push(symbol)
+                if reader is not None:
+                    read_push(symbol)
             previous = stem
-        accepted = chart.probe(text[-1]) if text else chart.accepts()
-        if accepted == bool(predicate(item)):
+        if text:
+            symbol = text[-1]
+            accepted = probe(symbol)
+            truth = bool(predicate(item)) if reader is None else read_probe(symbol)
+        else:
+            accepted = chart.accepts()
+            truth = bool(predicate(item)) if reader is None else reader.accepts()
+        if accepted == truth:
             counts[2] += 1
             continue
         counts[accepted] += 1

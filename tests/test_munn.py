@@ -22,6 +22,7 @@ from fimcowp import (
     rev_invert,
     tree_vertices,
 )
+from fimcowp.munn import IdempotentReader
 from fimcowp.oracle import enumerate_marked, enumerate_words
 
 
@@ -117,8 +118,9 @@ def test_is_idempotent_examples():
     assert is_idempotent("")
     assert is_idempotent(W("aA"))
     assert not is_idempotent(W("a"))
-    # only letters cancel: the markers between a and A stay
-    assert not is_idempotent("a##A")
+    # a text with a non-letter is no word, as for every decider
+    with pytest.raises(ValueError, match="not a word"):
+        is_idempotent("a##A")
 
 
 def test_idempotent_characterization():
@@ -431,9 +433,64 @@ def test_trees_are_immutable_and_pickle():
 @pytest.mark.parametrize("word", ["a#", "a1", "ab c", "é", "aé"])
 def test_deciders_reject_non_letters(word):
     for call in (lambda: build_munn(word), lambda: fim_equal(word, "a"),
-                 lambda: in_k1("a", word), lambda: avoids(word, "a")):
+                 lambda: in_k1("a", word), lambda: avoids(word, "a"),
+                 lambda: is_idempotent(word)):
         with pytest.raises(ValueError, match="not a word"):
             call()
+
+
+@st.composite
+def reader_runs(draw):
+    """A rank, a letter to avoid or none, and steps: ("push", letter),
+    ("pop", None) or ("probe", letter)."""
+    rank = draw(st.integers(1, 3))
+    letters = alphabet(rank)
+    avoid = draw(st.sampled_from(["", *letters]))
+    step = st.one_of(st.tuples(st.just("push"), st.sampled_from(letters)),
+                     st.tuples(st.just("pop"), st.none()),
+                     st.tuples(st.just("probe"), st.sampled_from(letters)))
+    return avoid, draw(st.lists(step, max_size=60))
+
+
+def reader_truth(word, avoid):
+    return is_idempotent(word) and (not avoid or avoids(word, avoid))
+
+
+@settings(max_examples=200, deadline=None)
+@given(reader_runs())
+def test_idempotent_reader_matches_the_deciders(run):
+    avoid, steps = run
+    reader, held = IdempotentReader(avoid), ""
+    for op, letter in steps:
+        if op == "push":
+            reader.push(letter)
+            held += letter
+        elif op == "pop" and not held:
+            with pytest.raises(IndexError):
+                reader.pop()
+        elif op == "pop":
+            reader.pop()
+            held = held[:-1]
+        else:
+            assert reader.probe(letter) == reader_truth(held + letter, avoid), (held, letter)
+        assert reader.accepts() == reader_truth(held, avoid), held
+
+
+@pytest.mark.parametrize("symbol", ["#", "1", "é", "", "ab"])
+def test_idempotent_reader_rejects_non_letters(symbol):
+    reader = IdempotentReader("a")
+    reader.push("a")
+    for call in (reader.push, reader.probe):
+        with pytest.raises(ValueError, match="expected one letter"):
+            call(symbol)
+    # nothing was pushed: aA ends at the root, but visited a
+    assert not reader.probe("A")
+    reader.pop()
+    with pytest.raises(IndexError):
+        reader.pop()
+    assert reader.accepts()
+    with pytest.raises(ValueError, match="expected one letter"):
+        IdempotentReader(symbol or "aa")
 
 
 def test_linear_memory_on_deep_words():

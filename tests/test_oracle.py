@@ -28,7 +28,7 @@ from fimcowp import (
     parse_word,
     symbol_sort_key,
 )
-from fimcowp import oracle
+from fimcowp import munn, oracle
 
 
 def test_enumerate_words_small():
@@ -260,6 +260,18 @@ def reference_block(grammar, predicate, items):
         (language("K1", 1).grammar(), language("K2", 1).oracle, list(enumerate_marked(1, 4)),
          [True, True]),
         (corrupted_idempotent_grammar(), is_idempotent, list(enumerate_words(1, 6)), [True, False]),
+        # the table oracles of E and Zx:x, read along the stem
+        (idempotent_grammar(2), language("E", 2).oracle, list(enumerate_words(2, 5)),
+         [False, False]),
+        (language("Zx:a", 2).grammar(), language("Zx:a", 2).oracle,
+         list(enumerate_words(2, 5)), [False, False]),
+        (corrupted_idempotent_grammar(), language("E", 1).oracle, list(enumerate_words(1, 6)),
+         [True, False]),
+        # E's grammar accepts what visits b, Zx:a's rejects what visits a
+        (idempotent_grammar(2), language("Zx:b", 2).oracle, list(enumerate_words(2, 5)),
+         [False, True]),
+        (language("Zx:a", 2).grammar(), language("E", 2).oracle, list(enumerate_words(2, 5)),
+         [True, False]),
     ],
 )
 def test_check_block_matches_a_fresh_parse_per_item(grammar, predicate, items, found):
@@ -270,6 +282,38 @@ def test_check_block_matches_a_fresh_parse_per_item(grammar, predicate, items, f
         assert got == reference_block(grammar, predicate, universe)
     # [false rejects, false accepts] found, each side
     assert [bool(examples) for examples in got[1]] == found
+
+
+def test_reader_oracles_match_their_whole_word_path():
+    # E's and each Zx:x's row oracle is read along the chart's stem; a lambda
+    # of it offers no reader and decides each whole word.  Against E's
+    # grammar each Zx:x report has false accepts, so the examples are
+    # compared too.
+    for rank in (1, 2, 3):
+        items = list(enumerate_words(rank, 6))
+        grammar = idempotent_grammar(rank)
+        for which in ["E", *(f"Zx:{x}" for x in alphabet(rank))]:
+            row = language(which, rank)
+            whole = report_fields(crosscheck(grammar, lambda w: row.oracle(w), items))
+            assert report_fields(crosscheck(grammar, row.oracle, items)) == whole, which
+            assert whole["universe"] == len(items), which
+            assert (whole["false_accept_count"] > 0) == (which != "E"), which
+            assert whole["false_reject_count"] == 0, which
+
+
+def test_reader_oracles_call_no_decider(monkeypatch):
+    # read along the stem, E and Zx:a decide no word on its own, the empty
+    # one included
+    for name in ("is_idempotent", "avoids"):
+        monkeypatch.setattr(munn, name, _no_decider)
+    for which in ("E", "Zx:a"):
+        row = language(which, 2)
+        report = crosscheck(row.grammar(), row.oracle, enumerate_words(2, 5))
+        assert report.clean and report.universe == 1365, which
+
+
+def _no_decider(*args):
+    raise AssertionError("a whole-word decider was called")
 
 
 def test_crosscheck_caps_false_accepts_serial_and_pooled(monkeypatch, recording_pool):
@@ -392,20 +436,26 @@ for jobs in (1, 2):
     assert pooled[1] == serial[1] and serial[1]["universe"] == 127
 
 
-@pytest.mark.parametrize("method", ["spawn", "forkserver"])
-def test_crosscheck_pool_under_start_method(method):
+@pytest.mark.parametrize("method, which, universe, max_len, size", [
+    pytest.param(method, *row, id=method + suffix)
+    for *row, suffix in [("K1", "enumerate_marked", 3, 313, ""),
+                         ("E", "enumerate_words", 4, 341, "-E")]
+    for method in ("spawn", "forkserver")
+])
+def test_crosscheck_pool_under_start_method(method, which, universe, max_len, size):
     # workers that start a fresh interpreter import fimcowp themselves and
-    # unpickle the grammar, the oracle and chunks of marked words
+    # unpickle the grammar, the oracle (E's with its reader) and chunks of
+    # marked words or words
     if method not in multiprocessing.get_all_start_methods():
         pytest.skip(f"no {method} start method on this platform")
     script = f"""
 import json, multiprocessing, os
 multiprocessing.set_start_method({method!r})
-from fimcowp import crosscheck, enumerate_marked, language, oracle
+from fimcowp import crosscheck, {universe}, language, oracle
 os.cpu_count = lambda: 2  # a pool even on one CPU
 oracle._CHUNK = 64
-row = language("K1", 2)
-report = crosscheck(row.grammar(), row.oracle, enumerate_marked(2, 3), jobs=2)
+row = language({which!r}, 2)
+report = crosscheck(row.grammar(), row.oracle, {universe}(2, {max_len}), jobs=2)
 print(json.dumps([multiprocessing.get_start_method(), report.to_json_dict()]))
 """
     done = subprocess.run([sys.executable, "-c", script], env=_fresh_env(),
@@ -413,9 +463,10 @@ print(json.dumps([multiprocessing.get_start_method(), report.to_json_dict()]))
     assert done.returncode == 0, done.stderr
     started, pooled = json.loads(done.stdout)
     del pooled["elapsed_ms"]
-    row = language("K1", 2)
-    serial = report_fields(crosscheck(row.grammar(), row.oracle, enumerate_marked(2, 3)))
-    assert started == method and pooled == serial and serial["universe"] == 313
+    row = language(which, 2)
+    items = globals()[universe](2, max_len)
+    serial = report_fields(crosscheck(row.grammar(), row.oracle, items))
+    assert started == method and pooled == serial and serial["universe"] == size
 
 
 def test_enumeration_rejects_negative_bounds():

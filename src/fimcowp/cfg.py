@@ -299,9 +299,9 @@ class DerivationTree:
     def __reduce__(self) -> tuple:
         return DerivationTree, (self.root, self.production, self.children)
 
-    def _walk(self, depth: int = 0) -> Iterator[tuple[int, DerivationTree | str]]:
-        """(depth, node or leaf) in pre-order, this node at `depth`."""
-        stack: list[tuple[int, DerivationTree | str]] = [(depth, self)]
+    def _walk(self) -> Iterator[tuple[int, DerivationTree | str]]:
+        """(depth, node or leaf) in pre-order, this node at depth 0."""
+        stack: list[tuple[int, DerivationTree | str]] = [(0, self)]
         while stack:
             depth, node = stack.pop()
             yield depth, node
@@ -351,9 +351,9 @@ _set_root, _set_production, _set_children = (
     getattr(DerivationTree, name).__set__ for name in DerivationTree.__slots__)
 
 
-def format_tree(tree: DerivationTree, indent: int = 0) -> str:
+def format_tree(tree: DerivationTree) -> str:
     lines = []
-    for depth, node in tree._walk(indent):
+    for depth, node in tree._walk():
         pad = "  " * depth
         if isinstance(node, str):
             lines.append(pad + node)

@@ -74,9 +74,8 @@ def avoiding_grammar(rank: int, avoid: str) -> Grammar:
 
     The whole Z-family is emitted; the start selects the avoided letter.
     """
+    parse_letter(avoid, rank)  # a bad rank or letter raises here
     letters = alphabet(rank)
-    if len(avoid) != 1 or avoid not in letters:
-        raise ValueError(f"letter {avoid!r} out of range for rank {rank}")
     nts = {_nt("Z", a) for a in letters}
     return Grammar(set(letters), nts, _avoiding_productions(letters), _nt("Z", avoid))
 

@@ -20,21 +20,14 @@ from __future__ import annotations
 
 from itertools import islice
 
-from .words import (CANONICAL_ORDER, EPSILON_TOKEN, MarkedWord, ascii_lowercase, ascii_uppercase,
-                    free_reduce, rev_invert)
+from .words import (CANONICAL_ORDER, EPSILON_TOKEN, LETTERS, MAX_RANK, MarkedWord, free_reduce,
+                    letter_codes, parse_letter, rev_invert)
 
 # A trie is (children, parents, inverses): children maps parent << 7 | code
 # to the child's id, where code is a letter's ASCII code; parents[i] and
 # inverses[i] are node i's parent and the code of the inverse of its last
 # letter.  The root is node 0, with inverse code 0, which no letter matches.
 # A vertex is first reached from its parent, so parents come first.
-
-
-def _codes(word: str) -> bytes:
-    data = word.encode()
-    if data and not data.isalpha():
-        raise ValueError(f"not a word over the letters a-z, A-Z: {word!r}")
-    return data
 
 
 def _walk(data: bytes, children: dict, parents: list, inverses: bytearray) -> int:
@@ -58,7 +51,7 @@ def _walk(data: bytes, children: dict, parents: list, inverses: bytearray) -> in
 def _read(word: str) -> tuple[dict, list, bytearray, int]:
     """A fresh trie with word read into it, and the endpoint's id."""
     trie: tuple[dict, list, bytearray] = ({}, [0], bytearray(1))
-    return *trie, _walk(_codes(word), *trie)
+    return *trie, _walk(letter_codes(word), *trie)
 
 
 class MunnTree:
@@ -173,23 +166,14 @@ def munn_product(s: MunnTree, t: MunnTree) -> MunnTree:
 
 
 def is_idempotent(word: str) -> bool:
-    _codes(word)  # a non-word raises, as for every decider
+    letter_codes(word)  # a non-word raises, as for every decider
     return not free_reduce(word)
-
-
-_LETTERS = frozenset(ascii_lowercase + ascii_uppercase)
-
-
-def _letter_code(x: str) -> int:
-    if x not in _LETTERS:
-        raise ValueError(f"expected one letter, got {x!r}")
-    return ord(x)
 
 
 def avoids(word: str, x: str) -> bool:
     """True when the tree of the word lacks the edge joining the root to the
     one-letter vertex x."""
-    code = _letter_code(x)
+    code = ord(parse_letter(x, MAX_RANK))
     children, *_ = _read(word)
     return code not in children
 
@@ -213,11 +197,11 @@ class IdempotentReader:
         self._undo = bytearray()
         self._visits = [0]
         # 0 matches no stack letter, so with nothing to avoid no visit counts
-        self._avoid = _letter_code(avoid) if avoid else 0
+        self._avoid = ord(parse_letter(avoid, MAX_RANK)) if avoid else 0
 
     def push(self, symbol: str) -> None:
-        if symbol not in _LETTERS:
-            raise ValueError(f"expected one letter, got {symbol!r}")
+        if symbol not in LETTERS:
+            parse_letter(symbol, MAX_RANK)  # raises: no letter
         x = ord(symbol)
         stack = self._stack
         if stack and stack[-1] == x ^ 32:
@@ -242,8 +226,8 @@ class IdempotentReader:
     def probe(self, symbol: str) -> bool:
         """Whether the word held, then symbol, is idempotent and avoids the
         letter; the reader is left as it was."""
-        if symbol not in _LETTERS:
-            raise ValueError(f"expected one letter, got {symbol!r}")
+        if symbol not in LETTERS:
+            parse_letter(symbol, MAX_RANK)  # raises: no letter
         stack = self._stack
         return len(stack) == 1 and stack[0] == ord(symbol) ^ 32 and not self._visits[-1]
 
@@ -261,7 +245,7 @@ def fim_equal(u: str, v: str) -> bool:
     seen[0] = 1
     unseen = len(parents) - 1
     node = 0
-    for x in _codes(v):
+    for x in letter_codes(v):
         if x == inverses[node]:
             node = parents[node]
         else:
@@ -279,7 +263,7 @@ def in_k1(u: str, v: str) -> bool:
     reading u after v ends where v does and adds a node."""
     children, parents, inverses, end = _read(v)
     size = len(parents)
-    return _walk(_codes(u), children, parents, inverses) == end and len(parents) > size
+    return _walk(letter_codes(u), children, parents, inverses) == end and len(parents) > size
 
 
 def in_cowp(marked: MarkedWord) -> bool:

@@ -3,7 +3,9 @@
 Generators are the lowercase letters a, b, c, ...; the matching uppercase
 letter is the formal inverse, so inverting a letter swaps its case, and
 ``rev_invert`` swaps a whole word with one ``str.translate`` table.  A word
-is a plain ``str`` over these letters, checked by ``parse_word``.  A marked
+is a plain ``str`` over these letters.  This module alone decides what a
+letter (``parse_letter``) and a word (``letter_codes``, which ``parse_word``
+and the Munn-tree deciders call) are, so each bad text gets one error.  A marked
 word serializes as ``u#t`` with exactly one ``#``.  The empty word prints as
 ``""``; where output formats need a visible token it is rendered as ``1``.
 """
@@ -34,7 +36,10 @@ def alphabet(rank: int) -> str:
     return "".join(g + g.upper() for g in ascii_lowercase[:rank])
 
 
-_LETTERS = {rank: frozenset(alphabet(rank)) for rank in range(1, MAX_RANK + 1)}
+# per rank, the ASCII codes of its letters, which letter_codes deletes
+_LETTER_CODES = {rank: alphabet(rank).encode() for rank in range(1, MAX_RANK + 1)}
+# the letters of every rank, for one-letter checks on hot paths
+LETTERS = frozenset(alphabet(MAX_RANK))
 _INVERSE = str.maketrans(ascii_lowercase + ascii_uppercase, ascii_uppercase + ascii_lowercase)
 # each word symbol to its place in the canonical order; texts translated by
 # it compare as the tuples of places in their symbol_sort_key do
@@ -51,16 +56,24 @@ def parse_letter(text: str, rank: int) -> str:
     return text
 
 
+def letter_codes(text: str, rank: int = MAX_RANK) -> bytes:
+    """The ASCII codes of text, if it is a word at this rank; otherwise
+    raise for the marker, then for a bad rank, then for the first symbol
+    off the alphabet, in order of first use."""
+    data = text.encode("utf-8", "surrogatepass")
+    letters = _LETTER_CODES.get(rank)
+    if letters is None or data.translate(None, letters):
+        if MARKER in text:
+            raise WordSyntaxError(f"unexpected {MARKER!r} in word {text!r}")
+        alphabet(rank)  # a bad rank raises here
+        for char in dict.fromkeys(text):
+            parse_letter(char, rank)
+    return data
+
+
 def parse_word(text: str, rank: int) -> str:
     """Check that text is a word at this rank and return it."""
-    if MARKER in text:
-        raise WordSyntaxError(f"unexpected {MARKER!r} in word {text!r}")
-    letters = _LETTERS.get(rank)
-    if letters is None or not letters.issuperset(text):
-        # a bad rank raises in alphabet; otherwise name the first bad letter
-        alphabet(rank)
-        for char in dict.fromkeys(text):  # distinct letters, in order of first use
-            parse_letter(char, rank)
+    letter_codes(text, rank)
     return text
 
 

@@ -938,11 +938,11 @@ def test_deep_tree_walks():
         tree = DerivationTree("E", nest, ("a", tree, "A"))
     assert tree.frontier() == "a" * n + "A" * n
     assert tree.productions() == [nest] * n + [leaf]
-    lines = format_tree(tree, indent=1).splitlines()
+    lines = format_tree(tree).splitlines()
     assert len(lines) == 3 * n + 1
-    assert lines[0] == "  E -> a E A" and lines[1] == "    a"
-    assert lines[n * 2] == "  " * (n + 1) + "E -> 1"
-    assert lines[-1] == "    A"
+    assert lines[0] == "E -> a E A" and lines[1] == "  a"
+    assert lines[n * 2] == "  " * n + "E -> 1"
+    assert lines[-1] == "  A"
 
 
 # --- caches

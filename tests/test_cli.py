@@ -1,12 +1,17 @@
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fimcowp.cli import main
+from fimcowp.cli import HARD_CAP_ENV, main
 from fimcowp.fim_grammars import LANGUAGES
 
 
@@ -370,3 +375,62 @@ def test_closed_stdout_ends_quietly(argv, first):
             proc.kill()
     assert line == first
     assert err == b"" and code == 141
+
+
+# --- any argv, in process
+
+_RANKS = st.sampled_from(["0", "1", "2", "3", "27", "x", "-1"])
+_WHICH = st.sampled_from([*LANGUAGES, "Zx:a", "Zx:c", "Zx:é", "Zx:", "nope"])
+# words, marked words, and texts with foreign symbols, extra markers, é and a
+# lone surrogate, as a shell hands one over
+_TEXT = st.one_of(st.text(alphabet="aAbB", max_size=6), st.text(alphabet="aAbB#", max_size=6),
+                  st.text(alphabet="aAbBcCd#1 é\udcff", max_size=6))
+_MAX_LEN = st.sampled_from(["0", "1", "2", "3", "-1", "15"])  # -1 and 15 are refused
+
+
+def _flags(*choices):
+    """Some of these flags, each with its arguments, in a drawn order."""
+    return st.lists(st.sampled_from(choices), unique=True).map(lambda fs: [x for f in fs for x in f])
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(["decide", "grammar", "parse", "enumerate", "crosscheck",
+                                    "munn"]))
+    argv = [command, "--rank", draw(_RANKS)]
+    if command == "decide":
+        argv += ["--mode", draw(st.sampled_from(["wp", "cowp", "k1", "k2"]))]
+        argv += draw(st.lists(_TEXT, min_size=1, max_size=3))
+    elif command == "munn":
+        argv += draw(_flags(("--format", "dot"), ("--format", "ascii"))) + [draw(_TEXT)]
+    else:
+        argv += ["--which", draw(_WHICH)]
+        if command == "grammar":
+            argv += draw(_flags(("--cnf",), ("--format", "json"), ("--format", "bnf")))
+        elif command == "parse":
+            argv += draw(_flags(("--tree",))) + [draw(_TEXT)]
+        else:
+            argv += ["--max-len", draw(_MAX_LEN)]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(_argvs())
+def test_any_argv_ends_in_an_answer_or_one_error(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ), redirect_stdout(out), redirect_stderr(err):
+        os.environ.pop(HARD_CAP_ENV, None)
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    if code != 2:
+        assert code in (0, 1) and err == "", (argv, code, err)
+        return
+    assert out == "", argv
+    lines = err.splitlines()
+    if lines[0].startswith("error: "):
+        assert len(lines) == 1, (argv, err)
+    else:  # argparse's usage, then its one error line
+        assert lines[0].startswith("usage: fimcowp "), (argv, err)
+        assert re.match(r"fimcowp \w+: error: ", lines[-1]), (argv, err)
+        assert not any("error:" in line for line in lines[:-1]), (argv, err)
+    assert err.endswith("\n") and "Traceback" not in err, (argv, err)

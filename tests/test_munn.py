@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from fimcowp import (
     MunnTree,
+    WordSyntaxError,
     alphabet,
     avoids,
     build_munn,
@@ -24,6 +25,7 @@ from fimcowp import (
 )
 from fimcowp.munn import IdempotentReader
 from fimcowp.oracle import enumerate_marked, enumerate_words
+from fimcowp.words import parse_letter
 
 
 def W(text, rank=2):
@@ -119,8 +121,9 @@ def test_is_idempotent_examples():
     assert is_idempotent(W("aA"))
     assert not is_idempotent(W("a"))
     # a text with a non-letter is no word, as for every decider
-    with pytest.raises(ValueError, match="not a word"):
+    with pytest.raises(WordSyntaxError) as info:
         is_idempotent("a##A")
+    assert str(info.value) == "unexpected '#' in word 'a##A'"
 
 
 def test_idempotent_characterization():
@@ -138,8 +141,9 @@ def test_avoids_examples():
 
 @pytest.mark.parametrize("x", ["", "ab", "aA"])
 def test_avoids_rejects_non_letter(x):
-    with pytest.raises(ValueError, match="expected one letter"):
+    with pytest.raises(WordSyntaxError) as info:
         avoids(W("abBA"), x)
+    assert str(info.value) == f"not a generator letter: {x!r}"
 
 
 def test_avoids_symmetry_under_rev_invert():
@@ -430,13 +434,25 @@ def test_trees_are_immutable_and_pickle():
         assert munn_product(clone, t) == build_munn("abBAAc" * 2)
 
 
-@pytest.mark.parametrize("word", ["a#", "a1", "ab c", "é", "aé"])
+# each text with the message of its WordSyntaxError
+_NON_WORDS = {
+    "a#": "unexpected '#' in word 'a#'",
+    "a1": "not a generator letter: '1'",
+    "ab c": "not a generator letter: ' '",
+    "é": "not a generator letter: 'é'",
+    "aé": "not a generator letter: 'é'",
+}
+
+
+@pytest.mark.parametrize("word", list(_NON_WORDS))
 def test_deciders_reject_non_letters(word):
+    message = _NON_WORDS[word]
     for call in (lambda: build_munn(word), lambda: fim_equal(word, "a"),
                  lambda: in_k1("a", word), lambda: avoids(word, "a"),
                  lambda: is_idempotent(word)):
-        with pytest.raises(ValueError, match="not a word"):
+        with pytest.raises(WordSyntaxError) as info:
             call()
+        assert str(info.value) == message
 
 
 @st.composite
@@ -481,16 +497,44 @@ def test_idempotent_reader_rejects_non_letters(symbol):
     reader = IdempotentReader("a")
     reader.push("a")
     for call in (reader.push, reader.probe):
-        with pytest.raises(ValueError, match="expected one letter"):
+        with pytest.raises(WordSyntaxError) as info:
             call(symbol)
+        assert str(info.value) == f"not a generator letter: {symbol!r}"
     # nothing was pushed: aA ends at the root, but visited a
     assert not reader.probe("A")
     reader.pop()
     with pytest.raises(IndexError):
         reader.pop()
     assert reader.accepts()
-    with pytest.raises(ValueError, match="expected one letter"):
+    with pytest.raises(WordSyntaxError) as info:
         IdempotentReader(symbol or "aa")
+    assert str(info.value) == f"not a generator letter: {symbol or 'aa'!r}"
+
+
+def _message(call):
+    """The message of the WordSyntaxError that call must raise."""
+    with pytest.raises(WordSyntaxError) as info:
+        call()
+    return str(info.value)
+
+
+@pytest.mark.parametrize("text", ["a#", "a1", "ab c", "é", "aé", "\ud800", "a\udcff"])
+def test_deciders_reject_a_bad_word_as_parse_word(text):
+    calls = (lambda: build_munn(text), lambda: fim_equal(text, "a"), lambda: fim_equal("a", text),
+             lambda: in_k1(text, "a"), lambda: in_k1("a", text), lambda: avoids(text, "a"),
+             lambda: is_idempotent(text))
+    expected = _message(lambda: parse_word(text, 26))
+    assert [_message(call) for call in calls] == [expected] * len(calls)
+
+
+@pytest.mark.parametrize("x", ["", "ab", "#", "1", "é", "\ud800"])
+def test_letter_takers_reject_a_bad_letter_as_parse_letter(x):
+    reader = IdempotentReader("a")
+    calls = [lambda: avoids("aA", x), lambda: reader.push(x), lambda: reader.probe(x)]
+    if x:  # the empty text is the reader's "no letter to avoid"
+        calls.append(lambda: IdempotentReader(x))
+    expected = _message(lambda: parse_letter(x, 26))
+    assert [_message(call) for call in calls] == [expected] * len(calls)
 
 
 def test_linear_memory_on_deep_words():

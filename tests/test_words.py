@@ -14,7 +14,7 @@ from fimcowp import (
     symbol_sort_key,
 )
 from fimcowp.oracle import enumerate_marked, enumerate_words
-from fimcowp.words import parse_letter
+from fimcowp.words import letter_codes, parse_letter
 
 
 def W(text, rank=2):
@@ -212,9 +212,15 @@ def _parse_word_letter_by_letter(text, rank):
     return text
 
 
-@given(st.text(alphabet="aAbBcCzZ#1 é", max_size=12), st.integers(0, 28))
+# a lone surrogate, and two non-ASCII letters that str.isalpha accepts
+@given(st.text(alphabet="aAbBcCzZ#1 é\ud800ßǅ", max_size=12), st.integers(0, 28))
 def test_parse_word_matches_letter_by_letter_check(text, rank):
     assert _outcome(parse_word, text, rank) == _outcome(_parse_word_letter_by_letter, text, rank)
+    # letter_codes checks at the top rank by default
+    codes = _outcome(letter_codes, text)
+    if isinstance(codes, bytes):
+        codes = codes.decode()
+    assert codes == _outcome(_parse_word_letter_by_letter, text, 26)
 
 
 @given(st.text(alphabet=alphabet(26), max_size=60))

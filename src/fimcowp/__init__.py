@@ -1,106 +1,10 @@
 """Grammars and Munn-tree oracles for co-word problems of free inverse monoids."""
 
-from .cfg import (
-    DerivationTree,
-    Grammar,
-    GrammarError,
-    Production,
-    cyk_member,
-    derive,
-    enumerate_language,
-    format_tree,
-    grammar_stats,
-    grammar_to_bnf,
-    grammar_to_json,
-    grammar_to_json_dict,
-    insert_marker_grammar,
-    reverse_invert_grammar,
-    to_cnf,
-    union_grammar,
-)
-from .fim_grammars import (
-    avoiding_grammar,
-    cowp_fg_grammar,
-    cowp_fim_grammar,
-    idempotent_grammar,
-    k1_grammar,
-    k2_grammar,
-    language,
-    sample_kmn,
-)
-from .munn import (
-    MunnTree,
-    avoids,
-    build_munn,
-    fim_equal,
-    in_cowp,
-    in_k1,
-    is_idempotent,
-    munn_product,
-    render_ascii,
-    render_dot,
-    tree_vertices,
-)
-from .oracle import CrosscheckReport, crosscheck, enumerate_marked, enumerate_words
-from .words import (
-    MARKER,
-    MarkedWord,
-    WordSyntaxError,
-    alphabet,
-    free_reduce,
-    parse_marked,
-    parse_word,
-    rev_invert,
-    symbol_sort_key,
-)
+from . import cfg, fim_grammars, munn, oracle, words
+from .cfg import *
+from .fim_grammars import *
+from .munn import *
+from .oracle import *
+from .words import *
 
-__all__ = [
-    "DerivationTree",
-    "Grammar",
-    "GrammarError",
-    "Production",
-    "cyk_member",
-    "derive",
-    "enumerate_language",
-    "format_tree",
-    "grammar_stats",
-    "grammar_to_bnf",
-    "grammar_to_json",
-    "grammar_to_json_dict",
-    "insert_marker_grammar",
-    "reverse_invert_grammar",
-    "to_cnf",
-    "union_grammar",
-    "avoiding_grammar",
-    "cowp_fg_grammar",
-    "cowp_fim_grammar",
-    "idempotent_grammar",
-    "k1_grammar",
-    "k2_grammar",
-    "language",
-    "sample_kmn",
-    "MunnTree",
-    "avoids",
-    "build_munn",
-    "fim_equal",
-    "in_cowp",
-    "in_k1",
-    "is_idempotent",
-    "munn_product",
-    "render_ascii",
-    "render_dot",
-    "tree_vertices",
-    "CrosscheckReport",
-    "crosscheck",
-    "enumerate_marked",
-    "enumerate_words",
-    "MARKER",
-    "MarkedWord",
-    "WordSyntaxError",
-    "alphabet",
-    "free_reduce",
-    "parse_marked",
-    "parse_word",
-    "rev_invert",
-    "symbol_sort_key",
-]
+__all__ = cfg.__all__ + fim_grammars.__all__ + munn.__all__ + oracle.__all__ + words.__all__

@@ -19,6 +19,25 @@ from typing import Collection, Iterator, Mapping, NamedTuple, Sequence
 
 from .words import EPSILON_TOKEN
 
+__all__ = [
+    "DerivationTree",
+    "Grammar",
+    "GrammarError",
+    "Production",
+    "cyk_member",
+    "derive",
+    "enumerate_language",
+    "format_tree",
+    "grammar_stats",
+    "grammar_to_bnf",
+    "grammar_to_json",
+    "grammar_to_json_dict",
+    "insert_marker_grammar",
+    "reverse_invert_grammar",
+    "to_cnf",
+    "union_grammar",
+]
+
 
 class GrammarError(ValueError):
     """Malformed grammar, or input outside a grammar's alphabet."""

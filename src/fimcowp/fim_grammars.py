@@ -21,6 +21,17 @@ from .cfg import (
 )
 from .words import MARKER, MarkedWord, alphabet, parse_letter, rev_invert, symbol_sort_key
 
+__all__ = [
+    "avoiding_grammar",
+    "cowp_fg_grammar",
+    "cowp_fim_grammar",
+    "idempotent_grammar",
+    "k1_grammar",
+    "k2_grammar",
+    "language",
+    "sample_kmn",
+]
+
 _CACHE_SIZE = 64  # per constructor: more than the 52 avoiding grammars of rank 26
 
 
@@ -225,6 +236,7 @@ def language(which: str, rank: int) -> Language:
         args, which = (parse_letter(which[3], rank),), ZX
     elif which not in LANGUAGES:
         raise ValueError(f"unknown grammar {which!r}; choices: {', '.join(LANGUAGES)}")
+    alphabet(rank)  # a bad rank raises here, for every row
     constructor, oracle, marked = LANGUAGES[which]
     # the letter joins the args of ZX's _Read, which stays a _Read
     oracle = type(oracle)(oracle, *args) if args else oracle

@@ -23,6 +23,20 @@ from itertools import islice
 from .words import (CANONICAL_ORDER, EPSILON_TOKEN, LETTERS, MAX_RANK, MarkedWord, free_reduce,
                     letter_codes, parse_letter, rev_invert)
 
+__all__ = [
+    "MunnTree",
+    "avoids",
+    "build_munn",
+    "fim_equal",
+    "in_cowp",
+    "in_k1",
+    "is_idempotent",
+    "munn_product",
+    "render_ascii",
+    "render_dot",
+    "tree_vertices",
+]
+
 # A trie is (children, parents, inverses): children maps parent << 7 | code
 # to the child's id, where code is a letter's ASCII code; parents[i] and
 # inverses[i] are node i's parent and the code of the inverse of its last
@@ -192,12 +206,12 @@ class IdempotentReader:
 
     __slots__ = ("_stack", "_undo", "_visits", "_avoid")
 
-    def __init__(self, avoid: str = "") -> None:
+    def __init__(self, avoid: str | None = None) -> None:
         self._stack = bytearray()
         self._undo = bytearray()
         self._visits = [0]
         # 0 matches no stack letter, so with nothing to avoid no visit counts
-        self._avoid = ord(parse_letter(avoid, MAX_RANK)) if avoid else 0
+        self._avoid = 0 if avoid is None else ord(parse_letter(avoid, MAX_RANK))
 
     def push(self, symbol: str) -> None:
         if symbol not in LETTERS:

@@ -16,6 +16,13 @@ from .cfg import Grammar, _Chart
 from .cfg import cyk_member  # noqa: F401  kept: perfbench/layers.py traces it here by name
 from .words import MarkedWord, alphabet, symbol_sort_key
 
+__all__ = [
+    "CrosscheckReport",
+    "crosscheck",
+    "enumerate_marked",
+    "enumerate_words",
+]
+
 EXAMPLE_CAP = 100
 _CHUNK = 4096
 

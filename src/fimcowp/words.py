@@ -14,6 +14,18 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+__all__ = [
+    "MARKER",
+    "MarkedWord",
+    "WordSyntaxError",
+    "alphabet",
+    "free_reduce",
+    "parse_marked",
+    "parse_word",
+    "rev_invert",
+    "symbol_sort_key",
+]
+
 MARKER = "#"
 EPSILON_TOKEN = "1"
 

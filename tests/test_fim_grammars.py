@@ -164,6 +164,15 @@ def test_every_language_matches_oracle_at_rank_5(which):
     assert report.clean, (report.false_accepts, report.false_rejects)
 
 
+@pytest.mark.parametrize("which", ["Zx:a" if name == ZX else name for name in LANGUAGES])
+@pytest.mark.parametrize("rank", [0, 27])
+def test_every_row_rejects_a_bad_rank(which, rank):
+    # at once, as alphabet does, and not later in the row's grammar()
+    with pytest.raises(ValueError) as info:
+        language(which, rank)
+    assert str(info.value) == f"rank must be between 1 and 26, got {rank}"
+
+
 def test_rows_call_through_module_attributes(monkeypatch):
     # a wrapper set on a constructor or decider (as perfbench's tracer does)
     # must see the table's calls

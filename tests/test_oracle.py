@@ -10,6 +10,7 @@ import sys
 import pytest
 from test_fim_grammars import _fresh_env
 
+import fimcowp
 from fimcowp import (
     CrosscheckReport,
     Grammar,
@@ -28,7 +29,7 @@ from fimcowp import (
     parse_word,
     symbol_sort_key,
 )
-from fimcowp import munn, oracle
+from fimcowp import cfg, fim_grammars, munn, oracle, words
 
 
 def test_enumerate_words_small():
@@ -434,6 +435,23 @@ for jobs in (1, 2):
     assert serial[0] == [] and pooled[0] == list(_POOL_MODULES)
     del serial[1]["elapsed_ms"], pooled[1]["elapsed_ms"]
     assert pooled[1] == serial[1] and serial[1]["universe"] == 127
+
+
+def test_each_module_declares_the_names_it_gives_the_package():
+    modules = (cfg, fim_grammars, munn, oracle, words)
+    assert fimcowp.__all__ == [name for module in modules for name in module.__all__]
+    assert len(fimcowp.__all__) == len(set(fimcowp.__all__)) == 48
+    for module in modules:
+        for name in module.__all__:
+            value = getattr(module, name)
+            assert getattr(fimcowp, name) is value, (module.__name__, name)
+            if callable(value):
+                # a module lists only what it defines, not what it imports
+                assert value.__module__ == module.__name__, (module.__name__, name)
+        namespace = {}
+        exec(f"from {module.__name__} import *", namespace)
+        del namespace["__builtins__"]
+        assert sorted(namespace) == sorted(module.__all__), module.__name__
 
 
 @pytest.mark.parametrize("method, which, universe, max_len, size", [

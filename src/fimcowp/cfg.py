@@ -295,28 +295,21 @@ def enumerate_language(grammar: Grammar, max_len: int) -> set[str]:
 # Derivation trees
 
 
-class DerivationTree:
-    """A node and its children, terminals as strings; read-only.  Every walk,
-    equality and hashing included, is the one pre-order walk `_walk`, and
-    repr keeps its own; both use an explicit stack, so depth is not limited
-    by the recursion limit."""
+class DerivationTree(NamedTuple("DerivationTree", [
+    ("production", Production),
+    ("children", tuple),  # a DerivationTree or a terminal per body symbol
+])):
+    """A node and its children, terminals as strings; the root is the
+    production's head.  Every walk, equality and hashing included, is the
+    one pre-order walk `_walk`, and repr keeps its own; both use an explicit
+    stack, so depth is not limited by the recursion limit.  A tree equals
+    only a tree, never the tuple of its fields."""
 
-    __slots__ = ("root", "production", "children")
+    __slots__ = ()
 
-    def __init__(self, root: str, production: Production,
-                 children: tuple[DerivationTree | str, ...]) -> None:
-        _set_root(self, root)
-        _set_production(self, production)
-        _set_children(self, children)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self) -> tuple:
-        return DerivationTree, (self.root, self.production, self.children)
+    @property
+    def root(self) -> str:
+        return self.production.head
 
     def _walk(self) -> Iterator[tuple[int, DerivationTree | str]]:
         """(depth, node or leaf) in pre-order, this node at depth 0."""
@@ -329,19 +322,22 @@ class DerivationTree:
 
     def _key(self) -> tuple:
         # the labels in pre-order, each with its depth, fix an ordered tree
-        return tuple((depth, node if isinstance(node, str) else (node.root, node.production))
+        return tuple((depth, node if isinstance(node, str) else node.production)
                      for depth, node in self._walk())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DerivationTree):
-            return NotImplemented
+            return False
         return self is other or self._key() == other._key()
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
 
     def __hash__(self) -> int:
         return hash(self._key())
 
     def __repr__(self) -> str:
-        # the text a generated dataclass repr would give
+        # NamedTuple's own format, built without recursion
         out: list[str] = []
         stack: list[DerivationTree | str] = [self]
         while stack:
@@ -349,8 +345,7 @@ class DerivationTree:
             if isinstance(node, str):
                 out.append(node)
                 continue
-            out.append(f"DerivationTree(root={node.root!r}, "
-                       f"production={node.production!r}, children=(")
+            out.append(f"DerivationTree(production={node.production!r}, children=(")
             parts = [c if isinstance(c, DerivationTree) else repr(c) for c in node.children]
             stack.append(",))" if len(parts) == 1 else "))")
             for idx in reversed(range(len(parts))):
@@ -365,11 +360,6 @@ class DerivationTree:
         return [node.production for _, node in self._walk() if not isinstance(node, str)]
 
 
-# the slot descriptors' setters, which `__setattr__` leaves to `__init__` alone
-_set_root, _set_production, _set_children = (
-    getattr(DerivationTree, name).__set__ for name in DerivationTree.__slots__)
-
-
 def format_tree(tree: DerivationTree) -> str:
     lines = []
     for depth, node in tree._walk():
@@ -378,7 +368,7 @@ def format_tree(tree: DerivationTree) -> str:
             lines.append(pad + node)
         else:
             body = " ".join(node.production.body) if node.production.body else EPSILON_TOKEN
-            lines.append(f"{pad}{node.root} -> {body}")
+            lines.append(f"{pad}{node.production.head} -> {body}")
     return "\n".join(lines)
 
 
@@ -441,7 +431,7 @@ def _chart_tables(grammar: Grammar) -> _Tables:
     for head, rule in _generating(rules).items():
         kids = tuple(tree for s in rule.body for tree in eps[s])
         if head < aux:
-            kids = (DerivationTree(rule.production.head, rule.production, kids),)
+            kids = (DerivationTree(rule.production, kids),)
         eps[head] = kids
 
     binary: dict[int, list[_Rule]] = {}
@@ -521,9 +511,9 @@ class _Chart:
     off as pop does, and reads the start's bit 0 from it.
 
     `tree` reads one derivation out in a single loop over a stack of spans
-    to expand, terminals and epsilon trees to emit, and closings (production,
-    mark) that make the output from mark on one node.  An auxiliary pushes
-    no closing, so its children join its parent's."""
+    to expand, terminals and epsilon trees to emit, and closings: a closing
+    is a production, and makes the last len(body) outputs one node.  An
+    auxiliary pushes no closing, so its children join its parent's."""
 
     __slots__ = ("_tables", "_cols", "_pos")
 
@@ -626,12 +616,12 @@ class _Chart:
         out, work = [], [(tables.start, 0, n)]  # see the class docstring
         while work:
             item = work.pop()
+            if type(item) is Production:  # a closing: its body's outputs are the last
+                mark = len(out) - len(item.body)
+                out[mark:] = [DerivationTree(item, tuple(out[mark:]))]
+                continue
             if type(item) is not tuple:
                 out.append(item)
-                continue
-            if len(item) == 2:
-                production, mark = item
-                out[mark:] = [DerivationTree(production.head, production, tuple(out[mark:]))]
                 continue
             x, i, j = item
             found = split(x, i, j, word)
@@ -652,7 +642,7 @@ class _Chart:
             else:
                 k, rule = found
             if x < aux:  # not an auxiliary, whose children join its parent's
-                work.append((rule.production, len(out)))
+                work.append(rule.production)
             body = rule.body
             if found is None:  # the chain's first step: one span, beside epsilon trees
                 child = names[body[pos]] if body[pos] < nterm else (body[pos], i, j)

@@ -872,9 +872,9 @@ def test_format_tree():
 
 def deep_tree(n, leaf_body=()):
     nest = Production("E", ("a", "E", "A"))
-    tree = DerivationTree("E", Production("E", leaf_body), ())
+    tree = DerivationTree(Production("E", leaf_body), ())
     for _ in range(n):
-        tree = DerivationTree("E", nest, ("a", tree, "A"))
+        tree = DerivationTree(nest, ("a", tree, "A"))
     return tree
 
 
@@ -892,24 +892,24 @@ def test_deep_tree_equality_hash_and_repr():
 
 def test_trees_with_the_same_preorder_labels_but_other_nesting_differ():
     # S(T(a, b)) against S(T(a), b): one pre-order of labels, two shapes
-    leaf = DerivationTree("T", Production("T", ("a",)), ("a",))
-    deep = DerivationTree("S", Production("S", ("T",)),
-                          (DerivationTree("T", Production("T", ("a",)), ("a", "b")),))
-    flat = DerivationTree("S", Production("S", ("T",)), (leaf, "b"))
+    leaf = DerivationTree(Production("T", ("a",)), ("a",))
+    deep = DerivationTree(Production("S", ("T",)),
+                          (DerivationTree(Production("T", ("a",)), ("a", "b")),))
+    flat = DerivationTree(Production("S", ("T",)), (leaf, "b"))
     assert deep != flat and len({deep, flat}) == 2
-    assert deep == DerivationTree("S", Production("S", ("T",)),
-                                  (DerivationTree("T", Production("T", ("a",)), ("a", "b")),))
+    assert deep == DerivationTree(Production("S", ("T",)),
+                                  (DerivationTree(Production("T", ("a",)), ("a", "b")),))
 
 
 def test_tree_repr_matches_dataclass_format():
-    leaf = DerivationTree("E", Production("E", ()), ())
-    assert repr(leaf) == "DerivationTree(root='E', production=Production(head='E', body=()), children=())"
-    one = DerivationTree("S", Production("S", ("a",)), ("a",))
+    leaf = DerivationTree(Production("E", ()), ())
+    assert repr(leaf) == "DerivationTree(production=Production(head='E', body=()), children=())"
+    one = DerivationTree(Production("S", ("a",)), ("a",))
     assert repr(one) == (
-        "DerivationTree(root='S', production=Production(head='S', body=('a',)), children=('a',))"
+        "DerivationTree(production=Production(head='S', body=('a',)), children=('a',))"
     )
     assert repr(deep_tree(1)) == (
-        "DerivationTree(root='E', production=Production(head='E', body=('a', 'E', 'A')), "
+        "DerivationTree(production=Production(head='E', body=('a', 'E', 'A')), "
         "children=('a', " + repr(leaf) + ", 'A'))"
     )
 
@@ -923,8 +923,22 @@ def test_derivation_trees_are_read_only():
         with pytest.raises(AttributeError):
             delattr(tree, name)
     assert format_tree(tree) == text
-    # copies and pickles are rebuilt through __init__
+    # copies and pickles are rebuilt from the two fields
     assert copy.copy(tree) == tree == pickle.loads(pickle.dumps(tree))
+
+
+def test_a_node_is_one_production_and_its_children():
+    assert DerivationTree._fields == ("production", "children")
+    tree = derive(E1, "aAaA")
+    assert tree.root == tree.production.head == "E"
+    empty = DerivationTree(Production("E", ()), ())
+    assert DerivationTree(Production("E", ("a", "E", "A")), ("a", empty, "A")) == derive(E1, "aA")
+    # a tree equals only a tree, never the tuple of its fields, from either side
+    fields = (tree.production, tree.children)
+    assert tree != fields and fields != tree
+    assert not tree == fields and not fields == tree
+    for twin in (copy.copy(tree), pickle.loads(pickle.dumps(tree))):
+        assert twin == tree and hash(twin) == hash(tree)
 
 
 def test_deep_tree_walks():
@@ -933,9 +947,9 @@ def test_deep_tree_walks():
     n = 5000
     nest = Production("E", ("a", "E", "A"))
     leaf = Production("E", ())
-    tree = DerivationTree("E", leaf, ())
+    tree = DerivationTree(leaf, ())
     for _ in range(n):
-        tree = DerivationTree("E", nest, ("a", tree, "A"))
+        tree = DerivationTree(nest, ("a", tree, "A"))
     assert tree.frontier() == "a" * n + "A" * n
     assert tree.productions() == [nest] * n + [leaf]
     lines = format_tree(tree).splitlines()

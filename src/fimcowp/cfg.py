@@ -28,10 +28,8 @@ __all__ = [
     "derive",
     "enumerate_language",
     "format_tree",
-    "grammar_stats",
     "grammar_to_bnf",
     "grammar_to_json",
-    "grammar_to_json_dict",
     "insert_marker_grammar",
     "reverse_invert_grammar",
     "to_cnf",
@@ -108,10 +106,6 @@ class Grammar:
         return Grammar, self._key()
 
 
-def grammar_stats(grammar: Grammar) -> tuple[int, int]:
-    return len(grammar.nonterminals), len(grammar.productions)
-
-
 def grammar_to_bnf(grammar: Grammar) -> str:
     """Deterministic BNF text: heads lexicographic, bodies lexicographic
     (the order of `productions`), the empty body rendered as the epsilon
@@ -123,19 +117,15 @@ def grammar_to_bnf(grammar: Grammar) -> str:
     return "\n".join(lines) + "\n"
 
 
-def grammar_to_json_dict(grammar: Grammar) -> dict:
-    return {
+def grammar_to_json(grammar: Grammar) -> str:
+    import json
+
+    return json.dumps({
         "terminals": sorted(grammar.terminals),
         "nonterminals": sorted(grammar.nonterminals),
         "start": grammar.start,
         "productions": [{"head": h, "body": list(b)} for h, b in grammar.productions],
-    }
-
-
-def grammar_to_json(grammar: Grammar) -> str:
-    import json
-
-    return json.dumps(grammar_to_json_dict(grammar), indent=2) + "\n"
+    }, indent=2) + "\n"
 
 
 def _generating(rules: Collection, known: Collection[str] = ()) -> dict:

@@ -22,9 +22,7 @@ HARD_CAP_DEFAULT = 14
 
 # the longest word parse and munn take.  Chart time and munn's output grow
 # about as the square of the length on the costliest words: at this length
-# parse --tree on (aA)^1000 under E, or on (bB)^1000 under Zx:a at rank 2,
-# takes 0.2-0.3 s, and on (aA)^500 # (aA)^499 a under coWP-FIM at rank 2
-# about 11 s
+# parse on (aA)^500 # (aA)^499 a under coWP-FIM at rank 2 takes about 11 s
 PARSE_CAP = 2000
 
 GRAMMAR_CHOICES = ", ".join(fim_grammars.LANGUAGES)

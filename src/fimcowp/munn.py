@@ -34,7 +34,6 @@ __all__ = [
     "munn_product",
     "render_ascii",
     "render_dot",
-    "tree_vertices",
 ]
 
 # A trie is (children, parents, inverses): children maps parent << 7 | code
@@ -289,13 +288,9 @@ def _vertex_label(vertex: str) -> str:
     return vertex or EPSILON_TOKEN
 
 
-def tree_vertices(tree: MunnTree) -> list[str]:
-    """All vertices in length-then-canonical order; the root is always present."""
-    return sorted({"", *tree.edges}, key=lambda v: (len(v), v.translate(CANONICAL_ORDER)))
-
-
 def render_dot(tree: MunnTree) -> str:
-    vertices = tree_vertices(tree)
+    # every vertex, the root included, length first and then canonical
+    vertices = sorted({"", *tree.edges}, key=lambda v: (len(v), v.translate(CANONICAL_ORDER)))
     terminal = tree.terminal
     lines = ["graph munn {"]
     for vertex in vertices:

@@ -15,7 +15,6 @@ from fimcowp import (
     enumerate_marked,
     enumerate_words,
     fim_equal,
-    grammar_stats,
     grammar_to_bnf,
     in_k1,
     k1_grammar,
@@ -149,7 +148,7 @@ def test_criterion_6_wp_cowp_partition():
 
 def test_criterion_7_k1_grammar_shape():
     grammar = k1_grammar(1)
-    stats_ok = grammar_stats(grammar) == (8, 20)
+    stats_ok = (len(grammar.nonterminals), len(grammar.productions)) == (8, 20)
 
     fixture_lines = (FIXTURES / "k1_rank1_productions.txt").read_text().splitlines()
     expected = sorted(

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import json
 import os
 import pickle
 import random
@@ -27,10 +28,8 @@ from fimcowp import (
     enumerate_words,
     format_tree,
     free_reduce,
-    grammar_stats,
     grammar_to_bnf,
     grammar_to_json,
-    grammar_to_json_dict,
     idempotent_grammar,
     insert_marker_grammar,
     k1_grammar,
@@ -154,7 +153,7 @@ def test_grammar_rejects_multichar_terminals():
 def test_grammar_deduplicates_and_sorts_productions():
     g = tiny([("S", "a"), ("S", "a"), ("S", "b")])
     assert g.productions == (Production("S", ("a",)), Production("S", ("b",)))
-    assert grammar_stats(g) == (1, 2)
+    assert (len(g.nonterminals), len(g.productions)) == (1, 2)
 
 
 def test_grammar_equality_and_hash():
@@ -1067,12 +1066,12 @@ def test_union_grammar():
 
 
 def test_grammar_stats_examples():
-    assert grammar_stats(idempotent_grammar(1)) == (1, 4)
-    assert grammar_stats(idempotent_grammar(2)) == (1, 6)
+    # (nonterminals, productions)
+    for g, stats in [(idempotent_grammar(1), (1, 4)), (idempotent_grammar(2), (1, 6)), (K1, (8, 20))]:
+        assert (len(g.nonterminals), len(g.productions)) == stats
     for k in (1, 2, 3):
         g = avoiding_grammar(k, "a")
-        assert grammar_stats(g) == (2 * k, 2 * k * (2 * k + 1))
-    assert grammar_stats(K1) == (8, 20)
+        assert (len(g.nonterminals), len(g.productions)) == (2 * k, 2 * k * (2 * k + 1))
 
 
 # --- serialization
@@ -1089,7 +1088,7 @@ def test_bnf_deterministic():
 
 def test_json_output():
     g = tiny([("S", "a")], terminals="a")
-    d = grammar_to_json_dict(g)
+    d = json.loads(grammar_to_json(g))
     assert d == {
         "terminals": ["a"],
         "nonterminals": ["S"],
@@ -1097,3 +1096,22 @@ def test_json_output():
         "productions": [{"head": "S", "body": ["a"]}],
     }
     assert grammar_to_json(g).endswith("\n")
+
+
+# sha256 of grammar --format json for each language of the table at rank 2,
+# recorded before grammar_to_json took in the dict it dumps
+JSON_SHA256 = {
+    "E": "a49f3cb57d38ad1e2fefbe9a4900438e8a8bdfbcf26a25137398f71765fe8566",
+    "Zx:a": "ebf6c04d595ef46311a13eb0104330761c50de036feadfde75a7ebad91ec9556",
+    "K1": "918e636fe5637ac68a0aa42eb44247524d1a354abc534fab3b10f796c42ed6bf",
+    "K2": "6a4193b2d1e29701c6f16578008e41e47742def59e8c393cbae88d3e054bac67",
+    "coWP-FG": "c88c90f09a98d961896968a94773ccad1bf69091c355f2297f67cff17a5e10b0",
+    "coWP-FIM": "77d3121fbf6ff39964752fa39a950dd34357f6d175eac7092b5787618ed0546f",
+}
+
+
+def test_json_export_is_pinned():
+    assert list(JSON_SHA256) == ["Zx:a" if n == ZX else n for n in LANGUAGES]
+    for name, want in JSON_SHA256.items():
+        text = grammar_to_json(language(name, 2).grammar())
+        assert hashlib.sha256(text.encode()).hexdigest() == want, name

@@ -19,7 +19,6 @@ from fimcowp import (
     enumerate_language,
     enumerate_marked,
     enumerate_words,
-    grammar_stats,
     idempotent_grammar,
     in_k1,
     k1_grammar,
@@ -33,7 +32,7 @@ from fimcowp.fim_grammars import LANGUAGES, ZX
 
 
 def test_idempotent_grammar_examples():
-    assert grammar_stats(idempotent_grammar(1))[1] == 4
+    assert len(idempotent_grammar(1).productions) == 4
     assert cyk_member(idempotent_grammar(2), "aAbB")
     assert not cyk_member(idempotent_grammar(2), "ab")
     with pytest.raises(ValueError):
@@ -61,10 +60,12 @@ def test_avoiding_grammar_start_selects_letter():
 
 
 def test_k1_grammar_shape():
-    assert grammar_stats(k1_grammar(1)) == (8, 20)
+    g = k1_grammar(1)
+    assert (len(g.nonterminals), len(g.productions)) == (8, 20)
     for k in (1, 2, 3):
         n = 2 * k
-        nts, prods = grammar_stats(k1_grammar(k))
+        g = k1_grammar(k)
+        nts, prods = len(g.nonterminals), len(g.productions)
         assert nts == 2 + 3 * n
         assert prods == n + 2 * n * (n - 1) + (n * (n - 1) + n) + (n + 2) + n * (n + 1)
 

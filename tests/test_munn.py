@@ -21,7 +21,6 @@ from fimcowp import (
     render_ascii,
     render_dot,
     rev_invert,
-    tree_vertices,
 )
 from fimcowp.munn import IdempotentReader
 from fimcowp.oracle import enumerate_marked, enumerate_words
@@ -190,10 +189,13 @@ def test_cowp_decomposition(rank, max_len):
 
 
 def test_tree_vertices_sorted():
-    t = build_munn(W("abA"))
-    labels = tree_vertices(t)
-    assert labels == ["", "a", "ab", "abA"]
-    assert tree_vertices(build_munn(W("bBBbAaaA"))) == ["", "a", "A", "b", "B"]
+    # render_dot lists every vertex, length first and then canonical, the root as 1
+    def vertices(word):
+        lines = render_dot(build_munn(W(word))).splitlines()[1:-1]
+        return [line.split('"')[1] for line in lines if " -- " not in line]
+
+    assert vertices("abA") == ["1", "a", "ab", "abA"]
+    assert vertices("bBBbAaaA") == ["1", "a", "A", "b", "B"]
 
 
 def test_render_dot_empty():
@@ -271,7 +273,7 @@ RENDER_SHA256 = {
 def test_renders_of_a_long_word_are_pinned():
     rng = random.Random(6)
     tree = build_munn("".join(rng.choice(alphabet(3)) for _ in range(1999)))
-    assert len(tree_vertices(tree)) == 1587
+    assert len(tree.edges) + 1 == 1587
     for render, digest in RENDER_SHA256.items():
         assert hashlib.sha256(render(tree).encode()).hexdigest() == digest, render.__name__
 

@@ -13,7 +13,6 @@ own productions.  Chomsky normal form (`to_cnf`) is only an export format.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import groupby
 from typing import Collection, Iterator, Mapping, NamedTuple, Sequence
 
@@ -49,18 +48,20 @@ Production = NamedTuple("Production", [("head", str), ("body", tuple[str, ...])]
 
 class Grammar:
     """Terminals, nonterminals, productions and start symbol; read-only.
-    The productions are deduplicated and sorted, and the hash is taken once."""
+    The productions are deduplicated and sorted, and the hash is taken once.
+    The chart tables, built on the first parse, are not part of the value."""
 
-    __slots__ = ("terminals", "nonterminals", "productions", "start", "_hash")
+    __slots__ = ("terminals", "nonterminals", "productions", "start", "_hash", "_tables")
 
     def __init__(self, terminals: Collection[str], nonterminals: Collection[str],
                  productions: Collection[tuple[str, Sequence[str]]], start: str) -> None:
         prods = tuple(sorted({Production(h, tuple(b)) for h, b in productions}))
         fields = (frozenset(terminals), frozenset(nonterminals), prods, start)
-        for name, value in zip(self.__slots__, fields):
+        for name, value in zip(("terminals", "nonterminals", "productions", "start"), fields):
             object.__setattr__(self, name, value)
         self._validate()
         object.__setattr__(self, "_hash", hash(fields))
+        object.__setattr__(self, "_tables", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -389,7 +390,6 @@ _Tables = NamedTuple("_Tables", [
 ])
 
 
-@lru_cache(maxsize=32)  # the tables of the 32 most recently used grammars
 def _chart_tables(grammar: Grammar) -> _Tables:
     """Binarise the caller's productions, keeping unit and epsilon rules: a
     body t X u, terminals at both ends around any one symbol, stays whole as
@@ -508,7 +508,9 @@ class _Chart:
     __slots__ = ("_tables", "_cols", "_pos")
 
     def __init__(self, grammar: Grammar) -> None:
-        self._tables = _chart_tables(grammar)
+        if grammar._tables is None:
+            object.__setattr__(grammar, "_tables", _chart_tables(grammar))
+        self._tables = grammar._tables
         self._cols: list[dict[int, int]] = [{}]
         # terminal id -> the bitmask of its positions
         self._pos = [0] * len(self._tables.terminals)
@@ -684,10 +686,10 @@ class _Chart:
         return best
 
 
-# (grammar, word, chart) of the last word parsed, or None; `derive` reads the
-# chart that `cyk_member` filled for the same word.  A chart is never pushed
-# to once it is here, so a caller holding one while another call replaces the
-# slot still reads a whole chart
+# (grammar, word, chart) of the last word parsed, or None: the one thing kept
+# across calls.  `derive` reads the chart that `cyk_member` filled for the same
+# word.  A chart is never pushed to once it is here, so a caller holding one
+# while another call replaces the slot still reads a whole chart
 _last_parse: tuple[Grammar, str | tuple[str, ...], _Chart] | None = None
 
 

@@ -8,7 +8,7 @@ with its constructor, its Munn-tree oracle and its universe.
 from __future__ import annotations
 
 import random
-from functools import lru_cache, partial
+from functools import partial
 from typing import Any, Callable, NamedTuple
 
 from . import munn, words
@@ -32,7 +32,7 @@ __all__ = [
     "sample_kmn",
 ]
 
-_CACHE_SIZE = 64  # per constructor: more than the 52 avoiding grammars of rank 26
+_INVERT = {x: x.swapcase() for x in alphabet(words.MAX_RANK)}  # the letters' involution, for K2
 
 
 def _nt(tag: str, letter: str) -> str:
@@ -70,7 +70,6 @@ def _avoiding_productions(letters: str) -> list[Production]:
     return prods
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def idempotent_grammar(rank: int) -> Grammar:
     """Words representing idempotents, i.e. words freely reducing to the
     empty word."""
@@ -79,7 +78,6 @@ def idempotent_grammar(rank: int) -> Grammar:
     return Grammar(set(letters), {e}, _idempotent_productions(letters), e)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def avoiding_grammar(rank: int, avoid: str) -> Grammar:
     """Idempotent words whose tree lacks the edge from the root to `avoid`.
 
@@ -91,7 +89,6 @@ def avoiding_grammar(rank: int, avoid: str) -> Grammar:
     return Grammar(set(letters), nts, _avoiding_productions(letters), _nt("Z", avoid))
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def k1_grammar(rank: int) -> Grammar:
     """Marked words u#t whose decoded pair (u, v) is equal in the free group
     while the tree of u has an edge the tree of v lacks."""
@@ -118,15 +115,12 @@ def k1_grammar(rank: int) -> Grammar:
     return Grammar(set(letters) | {MARKER}, nts, prods, s)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def k2_grammar(rank: int) -> Grammar:
     """Mirror of k1_grammar: the pair is equal in the free group while the
     tree of v has an edge the tree of u lacks."""
-    involution = {x: x.swapcase() for x in alphabet(rank)}
-    return reverse_invert_grammar(k1_grammar(rank), involution)
+    return reverse_invert_grammar(k1_grammar(rank), _INVERT)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def cowp_fg_grammar(rank: int) -> Grammar:
     """Marked words u#t with u·t not reducing to the empty word, i.e. the
     co-word problem of the free group in marked form.
@@ -151,11 +145,12 @@ def cowp_fg_grammar(rank: int) -> Grammar:
     return insert_marker_grammar(nontrivial, MARKER)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def cowp_fim_grammar(rank: int) -> Grammar:
     """Union grammar for the full co-word problem over well-formed marked
-    words: K1, K2, and the free-group co-word problem."""
-    return union_grammar([k1_grammar(rank), k2_grammar(rank), cowp_fg_grammar(rank)])
+    words: K1, K2, and the free-group co-word problem.  K1 is built once and
+    mirrored for K2."""
+    k1 = k1_grammar(rank)
+    return union_grammar([k1, reverse_invert_grammar(k1, _INVERT), cowp_fg_grammar(rank)])
 
 
 # Munn-tree oracles on one universe item, module-level so that crosscheck

@@ -86,12 +86,13 @@ def test_criterion_3_cowp_union_and_k1_k2_equivalence():
 def test_criterion_4_structured_sampler():
     started = time.perf_counter()
     grid = [(m, n, rank) for m in (0, 1, 2) for n in (0, 1, 2) for rank in (1, 2)]
+    grammars = {rank: k1_grammar(rank) for rank in (1, 2)}
     ok = True
     for seed in range(1000):
         m, n, rank = grid[seed % len(grid)]
         marked = sample_kmn(rank, m, n, seed)
         u, v = marked.pair()
-        if not in_k1(u, v) or not cyk_member(k1_grammar(rank), str(marked)):
+        if not in_k1(u, v) or not cyk_member(grammars[rank], str(marked)):
             ok = False
             break
     _report(

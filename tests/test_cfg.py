@@ -1,4 +1,5 @@
 import copy
+import gc
 import hashlib
 import json
 import os
@@ -21,6 +22,7 @@ from fimcowp import (
     avoiding_grammar,
     cowp_fg_grammar,
     cowp_fim_grammar,
+    crosscheck,
     cyk_member,
     derive,
     enumerate_language,
@@ -41,10 +43,10 @@ from fimcowp import (
     to_cnf,
     union_grammar,
 )
-from fimcowp import cfg, munn
+from fimcowp import cfg, fim_grammars, munn
 from fimcowp.cfg import _Chart, _chart_tables
 from fimcowp.fim_grammars import LANGUAGES, ZX, sample_kmn
-from fimcowp.words import MAX_RANK, alphabet
+from fimcowp.words import alphabet
 
 E1 = idempotent_grammar(1)
 K1 = k1_grammar(1)
@@ -191,6 +193,23 @@ def test_grammar_record_behaviour():
         clone = pickle.loads(pickle.dumps(g, protocol))
         assert clone == g and hash(clone) == hash(g) and repr(clone) == repr(g)
     assert copy.copy(g) == g == copy.deepcopy(g)
+
+
+def test_grammar_subclass_with_its_own_slots():
+    # the four fields are set by name, not by zipping the subclass's slots
+    class Weak(Grammar):
+        __slots__ = ("__weakref__",)
+
+    class Extra(Grammar):
+        __slots__ = ("extra",)
+
+    for cls in (Weak, Extra):
+        g = cls({"a"}, {"S"}, [("S", "a")], "S")
+        assert (g.terminals, g.nonterminals, g.start) == (frozenset("a"), frozenset("S"), "S")
+        assert g.productions == (Production("S", ("a",)),)
+        assert cyk_member(g, "a") and not cyk_member(g, "aa")
+    g = Weak({"a"}, {"S"}, [("S", "a")], "S")
+    assert weakref.ref(g)() is g
 
 
 # --- CYK membership
@@ -958,29 +977,76 @@ def test_deep_tree_walks():
     assert lines[-1] == "  A"
 
 
-# --- caches
+# --- chart tables: each grammar keeps its own
 
 
-def test_grammar_caches_are_bounded():
-    bound = _chart_tables.cache_info().maxsize
-    assert bound is not None
-    for k in range(1, bound + 10):
-        g = tiny([("S", "a" * k)])
-        assert cyk_member(g, "a" * k)
-        assert enumerate_language(to_cnf(g), k) == {"a" * k}
-        assert _chart_tables.cache_info().currsize <= bound
-    # the 2 * MAX_RANK avoiding grammars of the top rank fit, with one to spare
-    cached = (idempotent_grammar, avoiding_grammar, k1_grammar, k2_grammar, cowp_fg_grammar,
-              cowp_fim_grammar)
-    for constructor in cached:
-        size = constructor.cache_info().maxsize
-        assert size is not None and size >= 2 * MAX_RANK + 1, constructor
-    avoided = [(rank, x) for rank in range(1, 9) for x in alphabet(rank)]
-    size = avoiding_grammar.cache_info().maxsize
-    assert len(avoided) > size
-    for args in avoided:
-        avoiding_grammar(*args)
-        assert avoiding_grammar.cache_info().currsize <= size
+def _live(kind):
+    gc.collect()
+    return [o for o in gc.get_objects() if isinstance(o, kind)]
+
+
+def test_tables_live_as_long_as_their_grammar():
+    # what the test module holds stays; of what the loop builds, only the
+    # grammar of the last parse, and its tables, are left
+    held = _live(Grammar) + _live(cfg._Tables)
+    known = {id(o) for o in held}
+    for rank in (2, 3):
+        for which in ("Zx:a" if name == ZX else name for name in LANGUAGES):
+            row = language(which, rank)
+            g = row.grammar()
+            universe = enumerate_marked(rank, 2) if row.marked else enumerate_words(rank, 2)
+            for item in universe:
+                cyk_member(g, str(item))
+    del g
+    last = tiny([("S", "ab")])
+    assert cyk_member(last, "ab")
+    grammars = [o for o in _live(Grammar) if id(o) not in known]
+    tables = [o for o in _live(cfg._Tables) if id(o) not in known]
+    assert len(grammars) == 1 and grammars[0] is last is cfg._last_parse[0]
+    assert len(tables) == 1 and tables[0] is last._tables
+
+
+def test_tables_are_built_once_per_grammar(monkeypatch):
+    built = []
+
+    def counted(grammar):
+        built.append(grammar)
+        return _chart_tables(grammar)
+
+    monkeypatch.setattr(cfg, "_chart_tables", counted)
+    g = k1_grammar(2)
+    assert g._tables is None
+    assert cyk_member(g, "aA#") and not cyk_member(g, "a#A")
+    report = crosscheck(g, language("K1", 2).oracle, enumerate_marked(2, 3))
+    assert report.clean
+    assert built == [g] and g._tables is not None
+    twin = k1_grammar(2)
+    assert twin == g and twin is not g and twin._tables is None
+    assert cyk_member(twin, "aA#") and built == [g, twin]
+
+
+def test_cowp_fim_builds_k1_once(monkeypatch):
+    for rank in (1, 2, 5):
+        calls = []
+
+        def k1(r):
+            calls.append(r)
+            return k1_grammar(r)
+
+        monkeypatch.setattr(fim_grammars, "k1_grammar", k1)
+        g = cowp_fim_grammar(rank)
+        assert calls == [rank]
+        assert g == union_grammar([k1_grammar(rank), k2_grammar(rank), cowp_fg_grammar(rank)])
+
+
+def test_tables_stay_out_of_pickles_and_equality():
+    g, twin = k1_grammar(2), k1_grammar(2)
+    before = pickle.dumps(g)
+    assert cyk_member(g, "aA#") and g._tables is not None
+    assert pickle.dumps(g) == before
+    clone = pickle.loads(before)
+    assert clone._tables is None and copy.copy(g)._tables is None
+    assert g == twin == clone and hash(g) == hash(twin) and repr(g) == repr(twin)
 
 
 # --- transformations

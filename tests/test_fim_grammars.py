@@ -320,13 +320,14 @@ def test_sample_kmn_flat_case_all_trivial_idempotents():
 
 
 def test_sample_kmn_outputs_satisfy_oracle_and_grammar():
+    grammars = {rank: k1_grammar(rank) for rank in (1, 2)}
     for seed in range(40):
         m, n = seed % 3, (seed // 3) % 3
         rank = 1 + seed % 2
         marked = sample_kmn(rank, m, n, seed, cap=1)
         u, v = marked.pair()
         assert in_k1(u, v), str(marked)
-        assert cyk_member(k1_grammar(rank), str(marked))
+        assert cyk_member(grammars[rank], str(marked))
 
 
 def test_sample_kmn_pools_are_the_filtered_enumeration(monkeypatch):

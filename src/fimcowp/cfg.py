@@ -48,10 +48,11 @@ Production = NamedTuple("Production", [("head", str), ("body", tuple[str, ...])]
 
 class Grammar:
     """Terminals, nonterminals, productions and start symbol; read-only.
-    The productions are deduplicated and sorted, and the hash is taken once.
-    The chart tables, built on the first parse, are not part of the value."""
+    The productions are deduplicated and sorted.  The chart tables, built on
+    the first parse, and the chart of the last word parsed are not part of
+    the value."""
 
-    __slots__ = ("terminals", "nonterminals", "productions", "start", "_hash", "_tables")
+    __slots__ = ("terminals", "nonterminals", "productions", "start", "_tables", "_last")
 
     def __init__(self, terminals: Collection[str], nonterminals: Collection[str],
                  productions: Collection[tuple[str, Sequence[str]]], start: str) -> None:
@@ -60,8 +61,8 @@ class Grammar:
         for name, value in zip(("terminals", "nonterminals", "productions", "start"), fields):
             object.__setattr__(self, name, value)
         self._validate()
-        object.__setattr__(self, "_hash", hash(fields))
         object.__setattr__(self, "_tables", None)
+        object.__setattr__(self, "_last", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -95,15 +96,15 @@ class Grammar:
         return self._key() == other._key()
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self._key())
 
     def __repr__(self) -> str:
         return (f"Grammar(terminals={self.terminals!r}, nonterminals={self.nonterminals!r}, "
                 f"productions={self.productions!r}, start={self.start!r})")
 
     def __reduce__(self) -> tuple:
-        # rebuild on unpickling, so that the hash is taken under the loading
-        # interpreter's string hash seed
+        # rebuild from the four fields: a pickle or a copy carries neither
+        # the chart tables nor the last chart
         return Grammar, self._key()
 
 
@@ -686,28 +687,22 @@ class _Chart:
         return best
 
 
-# (grammar, word, chart) of the last word parsed, or None: the one thing kept
-# across calls.  `derive` reads the chart that `cyk_member` filled for the same
-# word.  A chart is never pushed to once it is here, so a caller holding one
-# while another call replaces the slot still reads a whole chart
-_last_parse: tuple[Grammar, str | tuple[str, ...], _Chart] | None = None
-
-
 def _parsed(grammar: Grammar, word: Sequence[str]) -> _Chart:
-    """The chart with every symbol of the word pushed: the last one built,
-    when it was for this grammar (the same object) and an equal word, or a
-    new one that takes its place.  Raises GrammarError on a symbol off the
+    """The chart with every symbol of the word pushed: the grammar's last
+    one, when it was for an equal word, or a new one that takes its place.
+    So `derive` reads the chart that `cyk_member` filled.  A kept chart is
+    never pushed to, so a caller holding one while another call replaces it
+    still reads a whole chart.  Raises GrammarError on a symbol off the
     alphabet and then keeps no chart."""
-    global _last_parse
     key = word if isinstance(word, str) else tuple(word)
-    last = _last_parse
-    if last is not None and last[0] is grammar and last[1] == key:
-        return last[2]
-    _last_parse = None
+    last = grammar._last
+    if last is not None and last[0] == key:
+        return last[1]
+    object.__setattr__(grammar, "_last", None)
     chart = _Chart(grammar)
     for symbol in key:
         chart.push(symbol)
-    _last_parse = (grammar, key, chart)
+    object.__setattr__(grammar, "_last", (key, chart))
     return chart
 
 

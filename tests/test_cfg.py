@@ -828,9 +828,15 @@ def test_shared_chart_is_kept_for_the_same_grammar_object():
     g, twin = tiny([("S", "aSb"), ("S", "")]), tiny([("S", "aSb"), ("S", "")])
     assert g == twin and g is not twin
     chart = cfg._parsed(g, "aabb")
+    assert cfg._parsed(g, "aabb") is chart and g._last == ("aabb", chart)
+    # an equal grammar keeps a chart of its own and leaves g's in place
+    twins = cfg._parsed(twin, "aabb")
+    assert twins is not chart and twin._last[1] is twins
     assert cfg._parsed(g, "aabb") is chart
-    assert cfg._parsed(twin, "aabb") is not chart
+    # another word under g replaces g's chart
+    assert cfg._parsed(g, "ab") is not chart and g._last[0] == "ab"
     assert cfg._parsed(g, "aabb") is not chart
+    assert twin._last[1] is twins
 
 
 @pytest.fixture
@@ -856,10 +862,33 @@ def test_failed_parse_keeps_no_chart(weak_charts):
     first = weakref.ref(cfg._parsed(E1, "aA"))
     with pytest.raises(GrammarError):
         cyk_member(E1, "aAb")
-    assert first() is None and cfg._last_parse is None
-    assert derive(E1, "aAb") is None and cfg._last_parse is None
+    assert first() is None and E1._last is None
+    assert derive(E1, "aAb") is None and E1._last is None
     with pytest.raises(GrammarError):
         cyk_member(E1, "aAb")
+
+
+def test_each_grammar_keeps_its_own_last_chart(monkeypatch):
+    built = []
+
+    class CountedChart(_Chart):
+        __slots__ = ()
+
+        def __init__(self, grammar):
+            built.append(grammar)
+            super().__init__(grammar)
+
+    monkeypatch.setattr(cfg, "_Chart", CountedChart)
+    w, v = "aaA#A", "aAa"
+    cyk_member(K1, "#")  # other words, so that each parse below builds a chart
+    cyk_member(E1, "")
+    built.clear()
+    assert cyk_member(K1, w) and not cyk_member(E1, v)
+    assert built == [K1, E1]
+    # the parse under E1 left K1's chart in place: derive builds none
+    tree = derive(K1, w)
+    assert tree is not None and tree.frontier() == w
+    assert built == [K1, E1]
 
 
 def test_cyk_member_and_derive_take_any_sequence():
@@ -986,9 +1015,11 @@ def _live(kind):
 
 
 def test_tables_live_as_long_as_their_grammar():
-    # what the test module holds stays; of what the loop builds, only the
-    # grammar of the last parse, and its tables, are left
-    held = _live(Grammar) + _live(cfg._Tables)
+    # what the test module holds stays; of what the test builds, a grammar
+    # and its tables and chart are left while the test holds the grammar,
+    # and nothing once it drops it
+    kinds = (Grammar, cfg._Tables, cfg._Chart)
+    held = [o for kind in kinds for o in _live(kind)]
     known = {id(o) for o in held}
     for rank in (2, 3):
         for which in ("Zx:a" if name == ZX else name for name in LANGUAGES):
@@ -1000,10 +1031,13 @@ def test_tables_live_as_long_as_their_grammar():
     del g
     last = tiny([("S", "ab")])
     assert cyk_member(last, "ab")
-    grammars = [o for o in _live(Grammar) if id(o) not in known]
-    tables = [o for o in _live(cfg._Tables) if id(o) not in known]
-    assert len(grammars) == 1 and grammars[0] is last is cfg._last_parse[0]
+    grammars, tables, charts = ([o for o in _live(kind) if id(o) not in known]
+                                for kind in kinds)
+    assert len(grammars) == 1 and grammars[0] is last
     assert len(tables) == 1 and tables[0] is last._tables
+    assert len(charts) == 1 and charts[0] is last._last[1]
+    del grammars, tables, charts, last
+    assert [o for kind in kinds for o in _live(kind) if id(o) not in known] == []
 
 
 def test_tables_are_built_once_per_grammar(monkeypatch):
@@ -1042,10 +1076,11 @@ def test_cowp_fim_builds_k1_once(monkeypatch):
 def test_tables_stay_out_of_pickles_and_equality():
     g, twin = k1_grammar(2), k1_grammar(2)
     before = pickle.dumps(g)
-    assert cyk_member(g, "aA#") and g._tables is not None
+    assert cyk_member(g, "aA#") and g._tables is not None and g._last is not None
     assert pickle.dumps(g) == before
-    clone = pickle.loads(before)
-    assert clone._tables is None and copy.copy(g)._tables is None
+    clone, copied = pickle.loads(before), copy.copy(g)
+    assert clone._tables is None and copied._tables is None
+    assert clone._last is None and copied._last is None
     assert g == twin == clone and hash(g) == hash(twin) and repr(g) == repr(twin)
 
 

@@ -48,9 +48,8 @@ def _unused(name: str, letters: str) -> str:
     return name
 
 
-def _idempotent_productions(letters: str) -> list[Production]:
+def _idempotent_productions(e: str, letters: str) -> list[Production]:
     # E -> E E | x E x^-1 | epsilon, one bracketing production per letter
-    e = _unused("E", letters)
     prods = [Production(e, (e, e)), Production(e, ())]
     for x in letters:
         prods.append(Production(e, (x, e, x.swapcase())))
@@ -75,7 +74,7 @@ def idempotent_grammar(rank: int) -> Grammar:
     empty word."""
     letters = alphabet(rank)
     e = _unused("E", letters)
-    return Grammar(set(letters), {e}, _idempotent_productions(letters), e)
+    return Grammar(set(letters), {e}, _idempotent_productions(e, letters), e)
 
 
 def avoiding_grammar(rank: int, avoid: str) -> Grammar:
@@ -85,8 +84,8 @@ def avoiding_grammar(rank: int, avoid: str) -> Grammar:
     """
     parse_letter(avoid, rank)  # a bad rank or letter raises here
     letters = alphabet(rank)
-    nts = {_nt("Z", a) for a in letters}
-    return Grammar(set(letters), nts, _avoiding_productions(letters), _nt("Z", avoid))
+    prods = _avoiding_productions(letters)
+    return Grammar(set(letters), {p.head for p in prods}, prods, _nt("Z", avoid))
 
 
 def k1_grammar(rank: int) -> Grammar:
@@ -107,12 +106,9 @@ def k1_grammar(rank: int) -> Grammar:
                 prods.append(
                     Production(_nt("P", x), (e, x, e, xi, e, _nt("Q", y), _nt("Z", x)))
                 )
-    prods += _idempotent_productions(letters)
+    prods += _idempotent_productions(e, letters)
     prods += _avoiding_productions(letters)
-    nts = {s, e}
-    for tag in ("P", "Q", "Z"):
-        nts.update(_nt(tag, x) for x in letters)
-    return Grammar(set(letters) | {MARKER}, nts, prods, s)
+    return Grammar(set(letters) | {MARKER}, {p.head for p in prods}, prods, s)
 
 
 def k2_grammar(rank: int) -> Grammar:
@@ -139,9 +135,8 @@ def cowp_fg_grammar(rank: int) -> Grammar:
         for y in letters:
             if y != x.swapcase():
                 prods.append(Production(rx, (e, y, _nt("R", y))))
-    prods += _idempotent_productions(letters)
-    nts = {s, e} | {_nt("R", x) for x in letters}
-    nontrivial = Grammar(set(letters), nts, prods, s)
+    prods += _idempotent_productions(e, letters)
+    nontrivial = Grammar(set(letters), {p.head for p in prods}, prods, s)
     return insert_marker_grammar(nontrivial, MARKER)
 
 

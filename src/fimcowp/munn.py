@@ -21,7 +21,7 @@ from __future__ import annotations
 from itertools import islice
 
 from .words import (CANONICAL_ORDER, EPSILON_TOKEN, LETTERS, MAX_RANK, MarkedWord, free_reduce,
-                    letter_codes, parse_letter, rev_invert)
+                    letter_codes, parse_letter)
 
 __all__ = [
     "MunnTree",
@@ -68,24 +68,17 @@ def _read(word: str) -> tuple[dict, list, bytearray, int]:
 
 
 class MunnTree:
-    """A trie of reduced words plus the endpoint's node.  ``edges`` is the
-    ``frozenset`` of non-root vertices, each naming the edge from its parent
-    ``v[:-1]``, so ``len(edges)`` is the edge count; ``terminal`` is the
-    endpoint as a reduced word.  Both are read-only and built on first use,
-    and the trie is never changed once built.  Equal trees compare and hash
-    equal however they were built."""
+    """A trie of reduced words plus the endpoint's node, as reading a word
+    builds it: ``build_munn`` reads one and ``munn_product`` grafts one onto
+    another.  ``edges`` is the ``frozenset`` of non-root vertices, each
+    naming the edge from its parent ``v[:-1]``, so ``len(edges)`` is the
+    edge count; ``terminal`` is the endpoint as a reduced word.  Both are
+    read-only and built on first use, and the trie is never changed once
+    built.  Equal trees compare and hash equal however they were built."""
 
     __slots__ = ("_children", "_parents", "_inverses", "_end", "_edges", "_hash")
 
-    def __init__(self, edges: frozenset[str], terminal: str) -> None:
-        """The tree of a word that visits each of these non-root vertices
-        and comes back, then walks to this endpoint."""
-        edges = frozenset(edges)
-        self._set(*_read("".join(v + rev_invert(v) for v in edges) + terminal))
-        if self.edges != edges or self.terminal != terminal:
-            raise ValueError(f"not a prefix-closed set of reduced words ending at {terminal!r}")
-
-    def _set(self, children, parents, inverses, end) -> None:
+    def __init__(self, children: dict, parents: list, inverses: bytearray, end: int) -> None:
         self._children, self._parents, self._inverses, self._end = (
             children, parents, inverses, end)
         self._edges = self._hash = None
@@ -139,20 +132,14 @@ class MunnTree:
         return self._hash
 
     def __reduce__(self):
-        return _tree, (self._children, self._parents, self._inverses, self._end)
+        return MunnTree, (self._children, self._parents, self._inverses, self._end)
 
     def __repr__(self) -> str:
         return f"MunnTree(edges={self.edges!r}, terminal={self.terminal!r})"
 
 
-def _tree(children, parents, inverses, end) -> MunnTree:
-    tree = object.__new__(MunnTree)
-    tree._set(children, parents, inverses, end)
-    return tree
-
-
 def build_munn(word: str) -> MunnTree:
-    return _tree(*_read(word))
+    return MunnTree(*_read(word))
 
 
 def munn_product(s: MunnTree, t: MunnTree) -> MunnTree:
@@ -175,7 +162,7 @@ def munn_product(s: MunnTree, t: MunnTree) -> MunnTree:
                 inverses.append(inv)
             node = nxt
         image.append(node)
-    return _tree(children, parents, inverses, image[t._end])
+    return MunnTree(children, parents, inverses, image[t._end])
 
 
 def is_idempotent(word: str) -> bool:

@@ -948,7 +948,7 @@ def test_trees_with_the_same_preorder_labels_but_other_nesting_differ():
                                   (DerivationTree(Production("T", ("a",)), ("a", "b")),))
 
 
-def test_tree_repr_matches_dataclass_format():
+def test_tree_repr_matches_namedtuple_format():
     leaf = DerivationTree(Production("E", ()), ())
     assert repr(leaf) == "DerivationTree(production=Production(head='E', body=()), children=())"
     one = DerivationTree(Production("S", ("a",)), ("a",))
@@ -1166,7 +1166,7 @@ def test_union_grammar():
     assert g.start == "S'" and enumerate_language(g, 2) == {"S"}
 
 
-def test_grammar_stats_examples():
+def test_grammar_sizes_examples():
     # (nonterminals, productions)
     for g, stats in [(idempotent_grammar(1), (1, 4)), (idempotent_grammar(2), (1, 6)), (K1, (8, 20))]:
         assert (len(g.nonterminals), len(g.productions)) == stats

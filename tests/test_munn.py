@@ -35,10 +35,10 @@ words2 = st.text(alphabet=alphabet(2), max_size=8)
 
 
 def test_build_munn_examples():
-    assert build_munn("") == MunnTree(frozenset(), "")
-    assert build_munn(W("aA")) == MunnTree(frozenset({"a"}), "")
-    assert build_munn(W("aAa")) == MunnTree(frozenset({"a"}), W("a"))
-    assert build_munn(W("abBA")) == MunnTree(frozenset({"a", "ab"}), "")
+    assert _as_ref(build_munn("")) == (frozenset(), "")
+    assert _as_ref(build_munn(W("aA"))) == (frozenset({"a"}), "")
+    assert _as_ref(build_munn(W("aAa"))) == (frozenset({"a"}), W("a"))
+    assert _as_ref(build_munn(W("abBA"))) == (frozenset({"a", "ab"}), "")
     # an edge is named by its far endpoint, whichever way it was read
     assert build_munn(W("AabB")).edges == frozenset({"A", "b"})
 
@@ -387,8 +387,8 @@ def test_deciders_match_reference(u, v, x):
 @pytest.mark.parametrize("left,right", [
     (munn_product(build_munn("abA"), build_munn("aBBa")), build_munn("abAaBBa")),
     (build_munn("aAa"), build_munn("a")),
-    (MunnTree(frozenset({"a", "ab", "A"}), "ab"), build_munn("AaabBb")),
-    (MunnTree(edges=frozenset(), terminal=""), build_munn("")),
+    (build_munn("abBAAaab"), build_munn("AaabBb")),
+    (munn_product(build_munn(""), build_munn("")), build_munn("")),
 ])
 def test_separate_builds_compare_and_hash_equal(left, right):
     assert left == right and right == left
@@ -398,25 +398,20 @@ def test_separate_builds_compare_and_hash_equal(left, right):
 
 
 def test_literal_constructor_matches_build_munn():
+    # the tree with a given vertex set and endpoint: a word that visits each
+    # vertex and comes back, in reverse order, then walks to the endpoint;
+    # its trie mostly has another node order than w's
     for w in enumerate_words(2, 5):
         t = build_munn(w)
-        literal = MunnTree(t.edges, t.terminal)
-        assert literal == t and hash(literal) == hash(t)
-        assert literal.edges == t.edges and literal.terminal == t.terminal
+        other = build_munn("".join(v + rev_invert(v) for v in sorted(t.edges, reverse=True))
+                           + t.terminal)
+        assert other == t and hash(other) == hash(t)
+        assert other.edges == t.edges and other.terminal == t.terminal
 
 
-@pytest.mark.parametrize("edges,terminal", [
-    ({""}, ""),                 # the root is not an edge
-    ({"ab"}, "ab"),             # not prefix-closed
-    ({"a", "aA"}, ""),          # not reduced
-    ({"a"}, "b"),               # endpoint not a vertex
-    ({"1"}, "1"),               # not a letter
-    ({"ab", "aA"}, ""),         # the right count of vertices, not the right set
-    ({"a"}, "aAa"),             # endpoint not reduced
-])
-def test_literal_constructor_rejects_non_trees(edges, terminal):
-    with pytest.raises(ValueError):
-        MunnTree(frozenset(edges), terminal)
+def test_the_constructor_takes_a_trie_not_a_vertex_set():
+    with pytest.raises(TypeError):
+        MunnTree(frozenset({"a"}), "")
 
 
 def test_trees_are_immutable_and_pickle():
@@ -434,6 +429,12 @@ def test_trees_are_immutable_and_pickle():
         assert clone == t and hash(clone) == hash(t)
         assert _as_ref(clone) == _as_ref(t) == ref_tree("abBAAc")
         assert munn_product(clone, t) == build_munn("abBAAc" * 2)
+    for s, w in ((munn_product(build_munn("abA"), build_munn("aBBa")), "abAaBBa"),
+                 (build_munn(""), "")):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            clone = pickle.loads(pickle.dumps(s, protocol))
+            assert clone == s and hash(clone) == hash(s)
+            assert _as_ref(clone) == _as_ref(s) == ref_tree(w)
 
 
 # each text with the message of its WordSyntaxError

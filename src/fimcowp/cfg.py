@@ -376,15 +376,17 @@ _Tables = NamedTuple("_Tables", [
     ("terminals", tuple[str, ...]),  # ids 0.. name these, in sorted order
     ("aux", int),  # ids from here on are auxiliaries
     ("start", int),
-    ("seeds", dict[str, tuple[int, ...]]),  # terminal t -> every A with A ~>* t
+    # terminal u -> (its seeds: every A with A ~>* u, u's id first; u's id
+    # when its by_right entry has pairs, else None; the brackets u closes:
+    # ((opening terminal t's id, middle X, 1 if X is nullable else 0, every
+    # A' ~>* A over the brackets A -> t X u), ...)), one lookup per push
+    ("steps", dict[str, tuple[tuple[int, ...], int | None,
+                              tuple[tuple[int, int, int, tuple[int, ...]], ...]]]),
     # right child C -> (closed, ((left child B, every A' ~>* A over the rules
     # A -> B C), ...)); C is closed when its one pair is (C, heads) with C
     # among the heads.  A terminal's entry merges, by B, those of every symbol
     # it seeds, and is never closed
     ("by_right", dict[int, tuple[bool, tuple[tuple[int, tuple[int, ...]], ...]]]),
-    # closing terminal u -> ((opening terminal t's id, middle X, 1 if X is
-    # nullable else 0, every A' ~>* A over the brackets A -> t X u), ...)
-    ("brackets", dict[str, tuple[tuple[int, int, int, tuple[int, ...]], ...]]),
     ("binary", dict[int, list[_Rule]]),  # head -> its brackets and rules with two children
     ("unit", dict[int, list[tuple[_Rule, int]]]),  # head -> (rule, position it ~> to)
     ("eps", dict[int, tuple[DerivationTree, ...]]),  # nullable symbol -> its epsilon children
@@ -452,7 +454,6 @@ def _chart_tables(grammar: Grammar) -> _Tables:
             by_close.setdefault(terminals[u], {}).setdefault((t, x), set()).update(
                 up[rule.head]
             )
-    seeds = {t: tuple(sorted(up[ids[t]])) for t in terminals}
     # a push sets every seed at the one start j-1, so the terminal's one work
     # item combines them all; no terminal seeds another
     for t in terminals:
@@ -464,11 +465,13 @@ def _chart_tables(grammar: Grammar) -> _Tables:
     pairs = {c: (bs.keys() == {c} and c in bs[c],
                  tuple((b, tuple(sorted(a))) for b, a in bs.items()))
              for c, bs in by_right.items()}
-    brackets = {
-        u: tuple((t, x, int(x in eps), tuple(sorted(a))) for (t, x), a in opens.items())
-        for u, opens in by_close.items()
+    steps = {
+        u: (tuple(sorted(up[ids[u]])), ids[u] if pairs[ids[u]][1] else None,
+            tuple((t, x, int(x in eps), tuple(sorted(a)))
+                  for (t, x), a in by_close.get(u, {}).items()))
+        for u in terminals
     }
-    return _Tables(terminals, aux, ids[grammar.start], seeds, pairs, brackets, binary, unit, eps)
+    return _Tables(terminals, aux, ids[grammar.start], steps, pairs, binary, unit, eps)
 
 
 class _Chart:
@@ -496,7 +499,11 @@ class _Chart:
     highest first, and combining a start k also drops from the work every
     start k' of C on [k', k): C on [i, k') and on [k', k) is C on [i, k),
     which the finished column k already holds, so k' would add nothing that
-    k did not.  Taken lowest first, no start would ever be dropped.
+    k did not.  Taken lowest first, no start would ever be dropped.  For
+    the same reason the new starts i that combining k gives C itself are not
+    queued again for C (its unit parents among the heads still are): i is a
+    start of C in column k, and C on [i', i) and on [i, k) is C on [i', k),
+    so combining i would bring only starts i' that combining k brought.
 
     `probe` answers for one more symbol: it pushes it, takes the column back
     off as pop does, and reads the start's bit 0 from it.
@@ -504,7 +511,9 @@ class _Chart:
     `tree` reads one derivation out in a single loop over a stack of spans
     to expand, terminals and epsilon trees to emit, and closings: a closing
     is a production, and makes the last len(body) outputs one node.  An
-    auxiliary pushes no closing, so its children join its parent's."""
+    auxiliary pushes no closing, so its children join its parent's.  A
+    bracket whose middle is empty or a terminal is output as its node at
+    once."""
 
     __slots__ = ("_tables", "_cols", "_pos")
 
@@ -518,19 +527,20 @@ class _Chart:
 
     def push(self, symbol: str) -> None:
         tables = self._tables
-        seeds = tables.seeds.get(symbol)
-        if seeds is None:
+        step = tables.steps.get(symbol)
+        if step is None:
             raise GrammarError(f"symbol {symbol!r} is not a terminal of this grammar")
+        seeds, own, closes = step
         by_right, cols, pos = tables.by_right, self._cols, self._pos
         first = len(cols) - 1
         bit = 1 << first
         col = dict.fromkeys(seeds, bit)
         # right child C -> its starts set in this column and not yet combined;
-        # the terminal's entry stands for all its seeds, unless none of them
-        # is a right child
-        todo = {seeds[0]: bit} if by_right[seeds[0]][1] else {}
+        # the terminal's own entry stands for all its seeds, unless none of
+        # them is a right child
+        todo = {} if own is None else {own: bit}
         last = cols[first]
-        for t, x, nullable, heads in tables.brackets.get(symbol, ()):
+        for t, x, nullable, heads in closes:
             # t at i, and X on [i+1, j-1), or empty there when nullable
             starts = pos[t] & (last.get(x, 0) | nullable * bit) >> 1
             if starts:
@@ -544,6 +554,7 @@ class _Chart:
         while todo:
             c, ks = todo.popitem()
             closed, pairs = by_right[c]
+            skip = c if closed else -1  # whose new starts are not queued again
             while ks:
                 k = ks.bit_length() - 1  # highest first
                 ks ^= 1 << k
@@ -558,7 +569,7 @@ class _Chart:
                             new = starts & ~old
                             if new:
                                 col[a] = old | new
-                                if a in by_right:
+                                if a != skip and a in by_right:
                                     todo[a] = todo.get(a, 0) | new
         cols.append(col)
         pos[seeds[0]] |= bit  # seeds[0] is the terminal: the lowest id of its closure
@@ -634,6 +645,12 @@ class _Chart:
                 rule, pos = first
             else:
                 k, rule = found
+                if len(rule.body) == 3 and (k == j - 1 or rule.body[1] < nterm):
+                    # a bracket t m u of leaves, m empty or a terminal: its node at once
+                    t, m, u = rule.body
+                    middle = eps[m] if k == j - 1 else (names[m],)
+                    out.append(DerivationTree(rule.production, (names[t], *middle, names[u])))
+                    continue
             if x < aux:  # not an auxiliary, whose children join its parent's
                 work.append(rule.production)
             body = rule.body
@@ -641,13 +658,10 @@ class _Chart:
                 child = names[body[pos]] if body[pos] < nterm else (body[pos], i, j)
                 nullable = eps[body[1 - pos]] if len(body) == 2 else ()
                 work.extend(reversed((child, *nullable) if pos == 0 else (*nullable, child)))
-            elif len(body) == 3:  # a bracket t m u: t, the first child, goes straight out
+            elif len(body) == 3:  # a bracket t m u around a span: t goes straight out
                 t, m, u = body
                 work.append(names[u])
-                if k < j - 1:
-                    work.append(names[m] if m < nterm else (m, k, j - 1))
-                else:
-                    work.extend(reversed(eps[m]))
+                work.append((m, k, j - 1))
                 out.append(names[t])
             else:
                 b, c = body

@@ -56,7 +56,7 @@ def _int_at_least(low: int, kind: str) -> Callable[[str], int]:
 
 
 _nonneg = _int_at_least(0, "nonnegative")
-_jobs = _int_at_least(1, "positive")  # a worker count; crosscheck lowers it to the CPU count
+_jobs = _int_at_least(1, "positive")  # a worker count; crosscheck lowers it to the CPUs it may use
 
 
 def _hard_cap() -> int:

@@ -189,12 +189,14 @@ def crosscheck(
     counterexamples at EXAMPLE_CAP per side.
 
     With jobs > 1 the universe is split into chunks evaluated in worker
-    processes, at most one per CPU; grammar and predicate must then be
+    processes, at most one per CPU the process may run on (its affinity,
+    where the platform has one); grammar and predicate must then be
     picklable, and are sent once to each worker.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    jobs = min(jobs, os.cpu_count() or 1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    jobs = min(jobs, cpus or 1)
     started = time.perf_counter()
     if jobs == 1:
         blocks: Iterable[tuple] = [_check_block(grammar, predicate, universe)]

@@ -1,4 +1,5 @@
 import concurrent.futures
+import os
 
 import pytest
 
@@ -46,3 +47,15 @@ def recording_pool(monkeypatch):
     for name in ("sizes", "initargs", "submitted"):
         monkeypatch.setattr(RecordingPool, name, [], raising=False)
     return RecordingPool
+
+
+@pytest.fixture
+def usable_cpus(monkeypatch):
+    """Sets the number of CPUs this process may run on, in each place that
+    crosscheck may read it: the affinity and the machine's CPU count."""
+
+    def set_cpus(count):
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+    return set_cpus

@@ -46,7 +46,7 @@ from fimcowp import (
 from fimcowp import cfg, fim_grammars, munn
 from fimcowp.cfg import _Chart, _chart_tables
 from fimcowp.fim_grammars import LANGUAGES, ZX, sample_kmn
-from fimcowp.words import alphabet
+from fimcowp.words import alphabet, rev_invert
 
 E1 = idempotent_grammar(1)
 K1 = k1_grammar(1)
@@ -93,15 +93,16 @@ def doubling_grammars(draw):
                    grammar.start)
 
 
-def random_idempotent(rng, letters, length):
+def random_idempotent(rng, letters, length, avoid=""):
     """A word of even length that freely reduces to the empty word: a walk on
-    the Cayley tree that steps back as often as it steps out."""
+    the Cayley tree that steps back as often as it steps out, and never
+    leaves the root by the letter `avoid`."""
     path, out = [], []
     while len(out) < length:
         if path and (rng.random() < 0.5 or len(path) == length - len(out)):
             out.append(path.pop().swapcase())
         else:
-            x = rng.choice([y for y in letters if not path or y != path[-1].swapcase()])
+            x = rng.choice([y for y in letters if y != (path[-1].swapcase() if path else avoid)])
             path.append(x)
             out.append(x)
     return "".join(out)
@@ -379,11 +380,16 @@ def test_cyk_agrees_with_enumeration_on_all_grammars():
 # b S b with t == u; three brackets closed by b
 BRACKETS = tiny([("S", "aTb"), ("S", "bSb"), ("S", "aab"), ("S", "bUa"), ("S", "SS"),
                  ("T", ""), ("T", "TT"), ("T", "aTb"), ("U", "a")])
+# C is closed (its one pair is D -> C C, C ~> D) and D, a unit parent among
+# its heads, is a right child of X -> a D: D's new starts must be combined
+CLOSED_UNDER_A_PARENT = tiny([("X", "aD"), ("C", "D"), ("D", "CC"), ("C", "bCb"), ("C", "a")],
+                             start="X")
 
 
 @settings(max_examples=200, deadline=None)
 @given(small_grammars())
 @example(BRACKETS)
+@example(CLOSED_UNDER_A_PARENT)
 def test_chart_and_derive_match_enumeration_on_random_grammars(grammar):
     language = enumerate_language(grammar, 5)
     for word in all_strings("ab", 5):
@@ -434,6 +440,7 @@ UNIT_DOUBLING = tiny([("S", "a"), ("S", "aT"), ("T", "S"), ("T", "SS"), ("T", "b
 @example(BRACKETS)
 @example(DOUBLING)
 @example(UNIT_DOUBLING)
+@example(CLOSED_UNDER_A_PARENT)
 def test_chart_cells_mean_derivability_on_random_grammars(grammar):
     assert_cells_mean_derivability(grammar, 5)
 
@@ -466,6 +473,7 @@ def test_closed_symbols_of_the_table_grammars():
     assert closed_symbols(DOUBLING) == closed_symbols(UNIT_DOUBLING) == set()
     assert closed_symbols(tiny([("C", "CC"), ("C", "a")], start="C")) == {"C"}
     assert closed_symbols(tiny([("C", "D"), ("D", "CC"), ("C", "a")], start="C")) == {"C"}
+    assert closed_symbols(CLOSED_UNDER_A_PARENT) == {"C"}
 
 
 def test_chart_cells_mean_derivability_on_table_grammars():
@@ -510,19 +518,27 @@ def long_words():
     idempotents.append(random_idempotent(rng, alphabet(2), 2000))
     u = random_idempotent(rng, alphabet(2), 150)
     t = random_idempotent(rng, alphabet(2), 148) + "a"
+    k1 = [str(sample_kmn(2, m, m, m)) for m in (1, 2, 3)]
     return {
         "E": idempotents + ["aA" * n for n in (32, 64, 1000)],
-        "K1": [str(sample_kmn(2, m, m, m)) for m in (1, 2, 3)],
+        "K1": k1,
         "coWP-FIM": [f"{u}#{t}"],
+        # the reverse-inverses of the K1 words: here the Z(x) are closed
+        "K2": [f"{rev_invert(right)}#{rev_invert(left)}"
+               for left, right in (w.split("#") for w in k1)],
+        "Zx:a": [random_idempotent(rng, alphabet(2), n, avoid="a") for n in range(64, 257, 32)],
     }
 
 
 # sha256 of each long word with the format_tree text of its derivation,
-# recorded before the read-out became one work-stack loop
+# recorded before the read-out became one work-stack loop (K2 and Zx:a
+# before a closed symbol's own new starts stopped being queued again)
 LONG_TREE_SHA256 = {
     "E": "456d506c1a818a8e5f5e3c901103a5bc2ca11624f8dd8b7cb2b2a37abae1ff76",
     "K1": "583c76f3fd92567c1833e1deae5e3d718816170948eaf5889c8cf859a10bbe17",
     "coWP-FIM": "5ee3752e60b2113f9b64c191b1ef76e7dc1d3bed00fbe8920c07770825e2aa57",
+    "K2": "2b16e646623eebe477fd76b1fad9347f03ec39ce57f883ef9eaa9b6b45c2ee2c",
+    "Zx:a": "2f98e42d20da224a5fe4071303468208f2e915f345cdb12b67236836e76f9b4c",
 }
 
 
@@ -534,6 +550,22 @@ def test_long_derivation_trees_are_pinned():
             assert tree is not None and tree.frontier() == text, (name, len(text))
             digest.update(f"{text}\n{format_tree(tree)}\n\n".encode())
         assert digest.hexdigest() == LONG_TREE_SHA256[name], name
+
+
+def test_bracket_trees_are_pinned():
+    # BRACKETS has brackets of leaves around an empty T and around the
+    # terminal a (S -> a a b), which no table grammar has; sha256 of each
+    # accepted word up to length 8 with the format_tree text of its
+    # derivation, recorded before such a bracket was read out as its node
+    # at once
+    digest, count = hashlib.sha256(), 0
+    for word in all_strings("ab", 8):
+        tree = derive(BRACKETS, word)
+        if tree is not None:
+            digest.update(f"{word}\n{format_tree(tree)}\n\n".encode())
+            count += 1
+    assert count == 103
+    assert digest.hexdigest() == "b07cf09cc6e46f01c4252ae446b56c31e370d69c079a1d6a6a2dd3c3e19fd906"
 
 
 def test_auxiliaries_are_one_per_body_suffix():

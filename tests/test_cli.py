@@ -284,8 +284,8 @@ def test_crosscheck_jobs_rejects_nonpositive(capsys, jobs):
     assert err.splitlines()[-1].startswith("fimcowp crosscheck: error: argument --jobs:")
 
 
-def test_crosscheck_jobs_clamped_to_cpu_count(capsys, monkeypatch, recording_pool):
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+def test_crosscheck_jobs_clamped_to_cpu_count(capsys, usable_cpus, recording_pool):
+    usable_cpus(3)
     for jobs, workers in (("2", 2), ("3", 3), ("1000000", 3)):
         code, out, _ = run(
             capsys, "crosscheck", "--rank", "1", "--which", "E", "--max-len", "5",
@@ -294,6 +294,35 @@ def test_crosscheck_jobs_clamped_to_cpu_count(capsys, monkeypatch, recording_poo
         assert code == 0 and json.loads(out)["universe"] == 63
         assert recording_pool.sizes[-1] == workers
     assert len(recording_pool.sizes) == 3
+
+
+ONE_CPU_OF_MANY = """
+import io, json, os, sys
+from contextlib import redirect_stdout
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+os.cpu_count = lambda: 4  # the machine's CPUs, more than this process may use
+from fimcowp.cli import main
+for jobs in ("1", "2"):
+    with redirect_stdout(io.StringIO()) as out:
+        code = main(["crosscheck", "--rank", "1", "--which", "E", "--max-len", "5", "--jobs", jobs])
+    report = json.loads(out.getvalue())
+    del report["elapsed_ms"]
+    print(json.dumps([code, report, "concurrent.futures.process" in sys.modules]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+def test_crosscheck_jobs_on_one_cpu_of_many_starts_no_pool():
+    # in a child process whose affinity is one CPU, --jobs 2 takes the
+    # serial path: the report of --jobs 1, and the pool module never loaded
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", ONE_CPU_OF_MANY], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    serial, two = map(json.loads, done.stdout.splitlines())
+    assert serial == two == [0, serial[1], False] and serial[1]["universe"] == 63
 
 
 # --- munn

@@ -317,12 +317,13 @@ def _no_decider(*args):
     raise AssertionError("a whole-word decider was called")
 
 
-def test_crosscheck_caps_false_accepts_serial_and_pooled(monkeypatch, recording_pool):
+def test_crosscheck_caps_false_accepts_serial_and_pooled(monkeypatch, usable_cpus,
+                                                          recording_pool):
     # 412 false accepts, past 2 * EXAMPLE_CAP, so the accept side's capping
     # runs; pooled in chunks of 100 words, each block caps its own too
     everything = Grammar({"a", "A"}, {"S"}, [("S", ("a", "S")), ("S", ("A", "S")), ("S", ())], "S")
     serial = crosscheck(everything, is_idempotent, enumerate_words(1, 8))
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    usable_cpus(2)
     monkeypatch.setattr(oracle, "_CHUNK", 100)
     pooled = crosscheck(everything, is_idempotent, enumerate_words(1, 8), jobs=2)
     assert len(recording_pool.submitted) == 6
@@ -343,8 +344,8 @@ def test_crosscheck_rejects_nonpositive_jobs(jobs, recording_pool):
     assert recording_pool.sizes == []
 
 
-def test_crosscheck_jobs_clamped_and_grammar_sent_once(monkeypatch, recording_pool):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+def test_crosscheck_jobs_clamped_and_grammar_sent_once(usable_cpus, recording_pool):
+    usable_cpus(2)
     grammar = idempotent_grammar(2)
     serial = crosscheck(grammar, is_idempotent, enumerate_words(2, 6))
     pooled = crosscheck(grammar, is_idempotent, enumerate_words(2, 6), jobs=1_000_000)
@@ -361,10 +362,10 @@ def test_crosscheck_jobs_clamped_and_grammar_sent_once(monkeypatch, recording_po
     assert sum(map(len, recording_pool.submitted)) == serial.universe
 
 
-def test_crosscheck_streams_chunks(monkeypatch, recording_pool):
+def test_crosscheck_streams_chunks(usable_cpus, recording_pool):
     # at most two chunks per worker are in flight, so the universe is pulled
     # only a little ahead of the results read
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    usable_cpus(2)
     jobs = 2
     pulled = 0
     pulled_at_first_read = []
@@ -386,8 +387,8 @@ def test_crosscheck_streams_chunks(monkeypatch, recording_pool):
     assert pulled_at_first_read[0] <= (2 * jobs + 1) * oracle._CHUNK
 
 
-def test_crosscheck_one_cpu_runs_serially(monkeypatch, recording_pool):
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+def test_crosscheck_one_cpu_runs_serially(usable_cpus, recording_pool):
+    usable_cpus(1)
     report = crosscheck(idempotent_grammar(1), is_idempotent, enumerate_words(1, 4), jobs=4)
     assert report.clean and report.universe == 31
     assert recording_pool.sizes == []
@@ -421,6 +422,7 @@ print(json.dumps(loaded))
 print(json.dumps(compiled))
 from fimcowp import crosscheck, enumerate_words, idempotent_grammar, is_idempotent, oracle
 os.cpu_count = lambda: 2  # a pool even on one CPU
+os.sched_getaffinity = lambda pid: {0, 1}
 oracle._CHUNK = 16
 for jobs in (1, 2):
     report = crosscheck(idempotent_grammar(1), is_idempotent, enumerate_words(1, 6), jobs=jobs)
@@ -471,6 +473,7 @@ import json, multiprocessing, os
 multiprocessing.set_start_method({method!r})
 from fimcowp import crosscheck, {universe}, language, oracle
 os.cpu_count = lambda: 2  # a pool even on one CPU
+os.sched_getaffinity = lambda pid: {0, 1}
 oracle._CHUNK = 64
 row = language({which!r}, 2)
 report = crosscheck(row.grammar(), row.oracle, {universe}(2, {max_len}), jobs=2)

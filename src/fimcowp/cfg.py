@@ -387,7 +387,13 @@ _Tables = NamedTuple("_Tables", [
     # among the heads.  A terminal's entry merges, by B, those of every symbol
     # it seeds, and is never closed
     ("by_right", dict[int, tuple[bool, tuple[tuple[int, tuple[int, ...]], ...]]]),
-    ("binary", dict[int, list[_Rule]]),  # head -> its brackets and rules with two children
+    # head -> (opening terminal t's id -> [(closing terminal u's id, rank,
+    # middle X, rule), ...] over its brackets A -> t X u; [(rank, left child
+    # B, right child C, rule), ...] over its rules A -> B C).  A rank is the
+    # rule's index in the rule list, which keeps production order, so a
+    # bracket's rank compares with a rule's
+    ("splits", dict[int, tuple[dict[int, list[tuple[int, int, int, _Rule]]],
+                               list[tuple[int, int, int, _Rule]]]]),
     ("unit", dict[int, list[tuple[_Rule, int]]]),  # head -> (rule, position it ~> to)
     ("eps", dict[int, tuple[DerivationTree, ...]]),  # nullable symbol -> its epsilon children
 ])
@@ -427,21 +433,23 @@ def _chart_tables(grammar: Grammar) -> _Tables:
             kids = (DerivationTree(rule.production, kids),)
         eps[head] = kids
 
-    binary: dict[int, list[_Rule]] = {}
+    splits: dict[int, tuple[dict[int, list], list]] = {}
     unit: dict[int, list[tuple[_Rule, int]]] = {}
     parents: dict[int, list[int]] = {}  # X -> every A with A ~> X
-    for rule in rules:
-        if len(rule.body) >= 2:
-            binary.setdefault(rule.head, []).append(rule)
-        if len(rule.body) == 3:
-            continue  # a bracket: its terminals are never nullable
+    for rank, rule in enumerate(rules):
+        if len(rule.body) == 3:  # a bracket: its terminals are never nullable
+            t, x, u = rule.body
+            splits.setdefault(rule.head, ({}, []))[0].setdefault(t, []).append((u, rank, x, rule))
+            continue
+        if len(rule.body) == 2:
+            splits.setdefault(rule.head, ({}, []))[1].append((rank, *rule.body, rule))
         for pos, symbol in enumerate(rule.body):
             if len(rule.body) == 1 or rule.body[1 - pos] in eps:
                 unit.setdefault(rule.head, []).append((rule, pos))
                 parents.setdefault(symbol, []).append(rule.head)
     # up[X]: every A with A ~>* X; most symbols have no parent to search from
     up = {x: _reach(parents, x) if x in parents else {x}
-          for x in [*range(len(terminals)), *binary]}
+          for x in [*range(len(terminals)), *splits]}
     by_right: dict[int, dict[int, set[int]]] = {}
     by_close: dict[str, dict[tuple[int, int], set[int]]] = {}
     for rule in rules:
@@ -471,7 +479,7 @@ def _chart_tables(grammar: Grammar) -> _Tables:
                   for (t, x), a in by_close.get(u, {}).items()))
         for u in terminals
     }
-    return _Tables(terminals, aux, ids[grammar.start], steps, pairs, binary, unit, eps)
+    return _Tables(terminals, aux, ids[grammar.start], steps, pairs, splits, unit, eps)
 
 
 class _Chart:
@@ -513,7 +521,16 @@ class _Chart:
     is a production, and makes the last len(body) outputs one node.  An
     auxiliary pushes no closing, so its children join its parent's.  A
     bracket whose middle is empty or a terminal is output as its node at
-    once."""
+    once.  A span of A on [i, j) takes A's lowest split k, and at k the
+    first rule in production order: the `splits` entry of A lists its
+    brackets under their opening terminal, so only those opened by w[i]
+    are tried, and a bracket that matches splits at i + 1, the lowest
+    split there is, losing only to a rule A -> B C of lower rank that also
+    splits there.  Without a matching bracket, the rules A -> B C are
+    searched in order for their lowest split below the best so far.  When
+    A has no split, the loop runs the same test on the symbols of A's unit
+    chains, shortest first, to one that has a split or is a terminal, and
+    A takes that chain's first step."""
 
     __slots__ = ("_tables", "_cols", "_pos")
 
@@ -614,91 +631,97 @@ class _Chart:
             return None
         if n == 0:
             return tables.eps[tables.start][0]
-        names, eps, unit, split = tables.terminals, tables.eps, tables.unit, self._split
-        aux, nterm = tables.aux, len(tables.terminals)
+        names, eps, unit, splits = tables.terminals, tables.eps, tables.unit, tables.splits
+        aux, nterm, node = tables.aux, len(tables.terminals), tuple.__new__
         word = [next(iter(col)) for col in cols[1:]]  # a column's first key is its terminal
         out, work = [], [(tables.start, 0, n)]  # see the class docstring
         while work:
             item = work.pop()
             if type(item) is Production:  # a closing: its body's outputs are the last
                 mark = len(out) - len(item.body)
-                out[mark:] = [DerivationTree(item, tuple(out[mark:]))]
+                out[mark:] = [node(DerivationTree, (item, tuple(out[mark:])))]
                 continue
             if type(item) is not tuple:
                 out.append(item)
                 continue
             x, i, j = item
-            found = split(x, i, j, word)
-            if found is None:
-                # no split: the shortest unit chain, as (symbol, its first step)
-                cell, seen, queue = cols[j], {x}, [(x, None)]
-                for y, first in queue:
-                    if first is not None and (y < nterm or split(y, i, j, word)):
+            cell, low = cols[j], i + 1
+            # the split of x, else the shortest unit chain, as (symbol, its
+            # first step), to a terminal or a symbol with a split
+            y, first, queue, at = x, None, None, 0
+            while True:
+                entry = splits.get(y)
+                if entry is not None:
+                    opens, pairs = entry
+                    rule = None
+                    for u, rank, m, bracket in opens.get(word[i], ()):
+                        if u == word[j - 1] and (
+                            cols[j - 1].get(m, 0) >> low & 1 if low < j - 1
+                            else low == j - 1 and m in eps
+                        ):
+                            # the lowest split: only a rule of lower rank
+                            # that also splits at low comes before it
+                            k, rule, left = low, bracket, cols[low]
+                            for r, b, c, pair in pairs:
+                                if r > rank:
+                                    break
+                                if left.get(b, 0) >> i & 1 and cell.get(c, 0) >> low & 1:
+                                    rule = pair
+                                    break
+                            break
+                    else:
+                        window = (1 << j) - (1 << low)  # the splits still to beat
+                        for r, b, c, pair in pairs:
+                            ks = cell.get(c, 0) & window
+                            while ks:
+                                bit = ks & -ks
+                                split = bit.bit_length() - 1
+                                if cols[split].get(b, 0) >> i & 1:
+                                    k, rule, window = split, pair, bit - (1 << low)
+                                    break
+                                ks ^= bit
+                    if rule is not None:
                         break
-                    for rule, pos in unit.get(y, ()):
-                        z = rule.body[pos]
-                        if z not in seen and cell.get(z, 0) >> i & 1:
-                            seen.add(z)
-                            queue.append((z, first or (rule, pos)))
-                else:
+                if queue is None:
+                    queue, seen = [], {x}
+                for step in unit.get(y, ()):
+                    z = step[0].body[step[1]]
+                    if z not in seen and cell.get(z, 0) >> i & 1:
+                        seen.add(z)
+                        queue.append((z, first or step))
+                if at == len(queue):
                     raise AssertionError("a chart cell is set without a derivation")
+                y, first = queue[at]
+                at += 1
+                if y < nterm:
+                    break
+            if first is not None:  # the chain's first step: one span, beside epsilon trees
                 rule, pos = first
-            else:
-                k, rule = found
-                if len(rule.body) == 3 and (k == j - 1 or rule.body[1] < nterm):
-                    # a bracket t m u of leaves, m empty or a terminal: its node at once
-                    t, m, u = rule.body
-                    middle = eps[m] if k == j - 1 else (names[m],)
-                    out.append(DerivationTree(rule.production, (names[t], *middle, names[u])))
-                    continue
-            if x < aux:  # not an auxiliary, whose children join its parent's
-                work.append(rule.production)
-            body = rule.body
-            if found is None:  # the chain's first step: one span, beside epsilon trees
+                if x < aux:  # not an auxiliary, whose children join its parent's
+                    work.append(rule.production)
+                body = rule.body
                 child = names[body[pos]] if body[pos] < nterm else (body[pos], i, j)
                 nullable = eps[body[1 - pos]] if len(body) == 2 else ()
                 work.extend(reversed((child, *nullable) if pos == 0 else (*nullable, child)))
-            elif len(body) == 3:  # a bracket t m u around a span: t goes straight out
-                t, m, u = body
-                work.append(names[u])
-                work.append((m, k, j - 1))
-                out.append(names[t])
+            elif len(rule.body) == 3:  # a bracket t m u, split at low
+                t, m, u = rule.body
+                if low == j - 1 or m < nterm:
+                    # m empty or a terminal: a bracket of leaves, its node at once
+                    middle = eps[m] if low == j - 1 else (names[m],)
+                    out.append(node(DerivationTree,
+                                    (rule.production, (names[t], *middle, names[u]))))
+                else:  # around a span: t goes straight out
+                    work.append(rule.production)
+                    work.append(names[u])
+                    work.append((m, low, j - 1))
+                    out.append(names[t])
             else:
-                b, c = body
+                if x < aux:
+                    work.append(rule.production)
+                b, c = rule.body
                 work.append(names[c] if c < nterm else (c, k, j))
                 work.append(names[b] if b < nterm else (b, i, k))
         return out[0]
-
-    def _split(self, y: int, i: int, j: int, word: list[int]) -> tuple[int, _Rule] | None:
-        """The lowest split k of y's derivation of w[i:j] by a bracket or a
-        rule with two children, and the first such rule in production order
-        at k; None when there is none.  A bracket t X u splits at i + 1, the
-        lowest split there is, and only where w[i] is t and w[j-1] is u."""
-        tables, cols = self._tables, self._cols
-        cell, low = cols[j], i + 1
-        best = None
-        window = (1 << j) - (1 << low)  # the splits still to beat: low <= k < j
-        for rule in tables.binary.get(y, ()):
-            if len(rule.body) == 3:
-                t, m, u = rule.body
-                if t == word[i] and u == word[j - 1] and (
-                    cols[j - 1].get(m, 0) >> low & 1 if low < j - 1
-                    else low == j - 1 and m in tables.eps
-                ):
-                    return low, rule
-                continue
-            b, c = rule.body
-            ks = cell.get(c, 0) & window
-            while ks:
-                bit = ks & -ks
-                k = bit.bit_length() - 1
-                if cols[k].get(b, 0) >> i & 1:
-                    if k == low:
-                        return k, rule
-                    best, window = (k, rule), bit - (1 << low)
-                    break
-                ks ^= bit
-        return best
 
 
 def _parsed(grammar: Grammar, word: Sequence[str]) -> _Chart:

@@ -241,8 +241,7 @@ def fim_equal(u: str, v: str) -> bool:
     node and ends at u's endpoint."""
     children, parents, inverses, end = _read(u)
     get = children.get
-    seen = bytearray(len(parents))
-    seen[0] = 1
+    seen = bytearray(len(parents))  # the root is never reached through get
     unseen = len(parents) - 1
     node = 0
     for x in letter_codes(v):

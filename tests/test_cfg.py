@@ -422,8 +422,10 @@ def assert_cells_mean_derivability(grammar, max_len):
             for symbol, language in enumerate(languages):
                 expected = sum(1 << i for i in range(j) if word[i:j] in language)
                 assert col.get(symbol, 0) == expected, (word, j, names[symbol])
-    bodies = [rule.body for head, rules in tables.binary.items() if head >= tables.aux
-              for rule in rules]
+    # an auxiliary's rules all have two children: its entry holds no bracket
+    bodies = [(b, c) for head, (opens, pairs) in tables.splits.items() if head >= tables.aux
+              for _, b, c, _ in pairs]
+    assert all(not opens for head, (opens, _) in tables.splits.items() if head >= tables.aux)
     assert len(set(bodies)) == len(bodies)
 
 
@@ -568,15 +570,53 @@ def test_bracket_trees_are_pinned():
     assert digest.hexdigest() == "b07cf09cc6e46f01c4252ae446b56c31e370d69c079a1d6a6a2dd3c3e19fd906"
 
 
+def seeded_grammars(count=200, seed=31):
+    """A fixed list of small grammars over a, b: up to 4 nonterminals,
+    bodies of length 0-3, often a bracket t X u, half of them with a unit
+    cycle through every nonterminal.  Drawn with random.Random, so the list
+    never changes."""
+    rng, out = random.Random(seed), []
+    for _ in range(count):
+        nts = "STUV"[: rng.randint(1, 4)]
+        symbols = nts + "ab"
+        prods = []
+        for _ in range(rng.randint(1, 10)):
+            if rng.random() < 0.4:
+                body = (rng.choice("ab"), rng.choice(symbols), rng.choice("ab"))
+            else:
+                body = tuple(rng.choice(symbols) for _ in range(rng.randint(0, 3)))
+            prods.append((rng.choice(nts), body))
+        if rng.random() < 0.5:
+            prods += [(x, (y,)) for x, y in zip(nts, nts[1:] + nts[0])]
+        out.append(Grammar(set("ab"), set(nts), prods, "S"))
+    return out
+
+
+def test_seeded_grammar_trees_are_pinned():
+    # sha256 of every word up to length 5 under each seeded grammar, with the
+    # format_tree text of its derivation or None, recorded before the split
+    # search moved into the read-out loop: the lowest split, then production
+    # order, then the shortest unit chain
+    digest, accepted = hashlib.sha256(), 0
+    for grammar in seeded_grammars():
+        for word in all_strings("ab", 5):
+            tree = derive(grammar, word)
+            accepted += tree is not None
+            digest.update(f"{word}\n{None if tree is None else format_tree(tree)}\n\n".encode())
+    assert accepted == 2430
+    assert digest.hexdigest() == "d29378a527993d133076fdd7a2caafd5a6434bd9c92b2f4fe05691ae481570a4"
+
+
 def test_auxiliaries_are_one_per_body_suffix():
     # bracket bodies take none; the other bodies longer than two share them
     counts = {("E", 2): 0, ("Zx:a", 2): 0, ("K1", 2): 116, ("coWP-FIM", 2): 259}
     for (name, rank), count in counts.items():
         tables = _chart_tables(language(name, rank).grammar())
-        auxiliaries = {head: rules for head, rules in tables.binary.items() if head >= tables.aux}
+        auxiliaries = {head: entry for head, entry in tables.splits.items() if head >= tables.aux}
         assert len(auxiliaries) == count, name
-        assert all(len(rules) == 1 for rules in auxiliaries.values()), name
-        bodies = {rules[0].body for rules in auxiliaries.values()}
+        # one rule each, with two children, and no two with the same body
+        assert all(not opens and len(pairs) == 1 for opens, pairs in auxiliaries.values()), name
+        bodies = {pairs[0][3].body for _, pairs in auxiliaries.values()}
         assert len(bodies) == count, name
 
 
@@ -815,6 +855,21 @@ def test_derive_takes_the_lowest_split():
     assert format_tree(tree) == "\n".join([
         "E -> a E A", "  a", "  E -> A E a", "    A", "    E -> 1", "    a", "  A",
     ])
+
+
+def test_derive_takes_a_later_rules_lower_split():
+    # S -> X c splits abc at 2 and comes first; S -> a Y splits it at 1
+    g = tiny([("S", "Xc"), ("S", "aY"), ("X", "ab"), ("Y", "bc")], terminals="abc")
+    assert derive(g, "abc").production == Production("S", ("a", "Y"))
+
+
+def test_derive_breaks_a_tie_at_the_lowest_split_by_production_order():
+    # S -> a T and the bracket S -> a X b both split ab at 1: the first in
+    # production order wins, and renaming T to Y puts the bracket first
+    first = tiny([("S", "aT"), ("S", "aXb"), ("T", "b"), ("X", "")])
+    assert derive(first, "ab").production == Production("S", ("a", "T"))
+    second = tiny([("S", "aY"), ("S", "aXb"), ("Y", "b"), ("X", "")])
+    assert derive(second, "ab").production == Production("S", ("a", "X", "b"))
 
 
 def test_derive_rejects_non_members():

@@ -84,6 +84,12 @@ def test_munn_tree_equality_examples():
     assert build_munn(W("ab")) != build_munn(W("ba"))
 
 
+def test_munn_trees_with_the_same_codes_and_endpoint_but_other_parents_differ():
+    # both tries have three nodes, inverse codes A and B in that order and
+    # endpoint 2, but b hangs off a in one and off the root in the other
+    assert build_munn(W("ab")) != build_munn(W("aAb"))
+
+
 def test_munn_product_examples():
     for text in ["", "a", "ab", "aBa"]:
         t = build_munn(W(text))

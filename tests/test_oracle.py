@@ -6,6 +6,7 @@ import pickle
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 from test_fim_grammars import _fresh_env
@@ -141,6 +142,13 @@ def test_crosscheck_detects_missing_epsilon():
     assert report.false_accept_count == 0
     assert report.false_reject_count > 0
     assert "" in report.false_rejects
+
+
+def test_crosscheck_elapsed_ms_lies_within_the_wall_time_of_the_call():
+    started = time.perf_counter()
+    report = crosscheck(idempotent_grammar(1), is_idempotent, enumerate_words(1, 4))
+    wall_ms = (time.perf_counter() - started) * 1000.0
+    assert 0 <= report.elapsed_ms <= wall_ms
 
 
 def test_crosscheck_deterministic():

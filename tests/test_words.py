@@ -76,6 +76,13 @@ def test_free_reduce_cancels_only_letter_inverse_pairs():
     assert free_reduce("éaAÉ") == "éÉ"
 
 
+def test_free_reduce_keeps_the_case_pairs_just_outside_the_letters():
+    # @ and `, and [ and {, differ by 32 like a letter and its inverse, and
+    # sit one step below A and one step above Z
+    for text in ("@`", "`@", "[{", "{["):
+        assert free_reduce(text) == text
+
+
 def test_free_reduce_matches_naive_oracle_exhaustively():
     for w in enumerate_words(2, 6):
         assert free_reduce(w) == naive_reduce(w)

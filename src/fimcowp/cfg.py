@@ -527,10 +527,10 @@ class _Chart:
     are tried, and a bracket that matches splits at i + 1, the lowest
     split there is, losing only to a rule A -> B C of lower rank that also
     splits there.  Without a matching bracket, the rules A -> B C are
-    searched in order for their lowest split below the best so far.  When
-    A has no split, the loop runs the same test on the symbols of A's unit
-    chains, shortest first, to one that has a split or is a terminal, and
-    A takes that chain's first step."""
+    searched in order for their lowest split below the best so far, until
+    one splits at i + 1.  When A has no split, the loop runs the same test
+    on the symbols of A's unit chains, shortest first, to one that has a
+    split or is a terminal, and A takes that chain's first step."""
 
     __slots__ = ("_tables", "_cols", "_pos")
 
@@ -680,6 +680,8 @@ class _Chart:
                                     k, rule, window = split, pair, bit - (1 << low)
                                     break
                                 ks ^= bit
+                            if not window:  # a split at low: none is lower
+                                break
                     if rule is not None:
                         break
                 if queue is None:

@@ -14,12 +14,13 @@ For each mutant the package and the tests are copied to a fresh directory,
 the mutated module is written there (by `ast.unparse`, so comments go) and
 pytest runs the chosen tests under a Hypothesis profile that is
 derandomized and keeps no example database, so a run can be repeated
-exactly.  A failing test kills the mutant; a run past the timeout counts as
-a kill but is listed apart.  One JSON line per mutant goes to stdout.  A
-survivor that is not in EQUIVALENT below makes the exit status 1.
+exactly.  A failing test kills the mutant; a run past TIMEOUT counts as a
+kill but is listed apart.  Mutants run one per usable CPU.  One JSON line
+per mutant goes to stdout.  A survivor that is not in EQUIVALENT below
+makes the exit status 1.
 
     python tests/mutants.py --target cfg:_Chart.tree --target cfg:_chart_tables \\
-        --tests tests/test_cfg.py [--jobs 2] [--timeout 120]
+        --tests tests/test_cfg.py
 
 This is a tool, not a test: pytest does not collect it, and it is run by
 hand on the functions that a change touches.
@@ -41,6 +42,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "fimcowp"
+TIMEOUT = 120  # seconds for one run of the tests
 
 SWAPS = {
     ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Lt: ast.LtE, ast.LtE: ast.Lt,
@@ -121,7 +123,7 @@ def _sites(function: ast.AST):
                     yield node, f"{node.value} -> {node.value + 1}", put, node, ast.Constant(node.value + 1)
 
 
-def _run(source_name: str, text: str, tests: list[str], timeout: float) -> str:
+def _run(source_name: str, text: str, tests: list[str]) -> str:
     """killed, timed out or survived, for the package with one module's
     text replaced."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
@@ -143,7 +145,7 @@ def _run(source_name: str, text: str, tests: list[str], timeout: float) -> str:
         with subprocess.Popen(command, cwd=work, env=env, stdout=subprocess.DEVNULL,
                               stderr=subprocess.DEVNULL, start_new_session=True) as proc:
             try:
-                code = proc.wait(timeout=timeout)
+                code = proc.wait(timeout=TIMEOUT)
             except subprocess.TimeoutExpired:
                 os.killpg(proc.pid, signal.SIGKILL)
                 proc.wait()
@@ -156,8 +158,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--target", action="append", required=True,
                         help="module:qualified.name, e.g. cfg:_Chart.tree; repeatable")
     parser.add_argument("--tests", nargs="+", required=True, help="test files or node ids")
-    parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--timeout", type=float, default=120.0)
     args = parser.parse_args(argv)
 
     mutants = []  # (target, line, source, mutation, module file name, text)
@@ -186,12 +186,13 @@ def main(argv: list[str] | None = None) -> int:
         # each module unmutated, written the same way, must pass
         if path.name not in checked:
             checked.add(path.name)
-            if _run(path.name, ast.unparse(module), args.tests, args.timeout) != "survived":
+            if _run(path.name, ast.unparse(module), args.tests) != "survived":
                 print(f"the tests fail on {path.name} unmutated", file=sys.stderr)
                 return 2
 
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-        outcomes = pool.map(lambda m: _run(m[4], m[5], args.tests, args.timeout), mutants)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    with ThreadPoolExecutor(max_workers=cpus or 1) as pool:
+        outcomes = pool.map(lambda m: _run(m[4], m[5], args.tests), mutants)
         tally, unlisted = {"killed": 0, "timed out": 0, "survived": 0}, 0
         for (target, line, key, mutation, name, _), outcome in zip(mutants, outcomes):
             tally[outcome] += 1

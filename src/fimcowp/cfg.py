@@ -485,10 +485,13 @@ def _chart_tables(grammar: Grammar) -> _Tables:
 class _Chart:
     """A chart over the binarised grammar, grown one end column per pushed
     symbol and shrunk by dropping the last, so words that share a prefix can
-    share its columns.  Column j maps each symbol A to the bitmask of starts
-    i < j with A =>* w[i:j]; empty spans are left to the nullable set.  The
-    chart also keeps, for each terminal, the bitmask of the positions that
-    hold it.
+    share its columns.  A push takes a run of symbols and builds their
+    columns in one loop, so a caller pays for one call per run, not per
+    symbol; a run with a symbol off the alphabet raises GrammarError and is
+    rolled back, leaving the chart as it was before the call.  Column j maps
+    each symbol A to the bitmask of starts i < j with A =>* w[i:j]; empty
+    spans are left to the nullable set.  The chart also keeps, for each
+    terminal, the bitmask of the positions that hold it.
 
     A push seeds the new column at start j-1 and sets the heads of the
     brackets A -> t X u closed by the pushed u: their starts are, in one
@@ -513,8 +516,9 @@ class _Chart:
     start of C in column k, and C on [i', i) and on [i, k) is C on [i', k),
     so combining i would bring only starts i' that combining k brought.
 
-    `probe` answers for one more symbol: it pushes it, takes the column back
-    off as pop does, and reads the start's bit 0 from it.
+    `probe` answers for one more symbol: the same loop builds its column
+    against the chart, reads the start's bit 0 from it and drops it, so the
+    chart is never changed.
 
     `tree` reads one derivation out in a single loop over a stack of spans
     to expand, terminals and epsilon trees to emit, and closings: a closing
@@ -542,54 +546,68 @@ class _Chart:
         # terminal id -> the bitmask of its positions
         self._pos = [0] * len(self._tables.terminals)
 
-    def push(self, symbol: str) -> None:
+    def push(self, symbols: Sequence[str], probe: bool = False) -> bool | None:
+        """Push each symbol of the run, a str of one-character terminals or a
+        tuple, in turn.  On a symbol off the alphabet, drop the columns this
+        run pushed and raise GrammarError.  With probe, symbols is a tuple of
+        one symbol: its column is built and dropped, and the answer is
+        whether it holds the start at 0 (see `probe`)."""
         tables = self._tables
-        step = tables.steps.get(symbol)
-        if step is None:
-            raise GrammarError(f"symbol {symbol!r} is not a terminal of this grammar")
-        seeds, own, closes = step
-        by_right, cols, pos = tables.by_right, self._cols, self._pos
-        first = len(cols) - 1
-        bit = 1 << first
-        col = dict.fromkeys(seeds, bit)
-        # right child C -> its starts set in this column and not yet combined;
-        # the terminal's own entry stands for all its seeds, unless none of
-        # them is a right child
-        todo = {} if own is None else {own: bit}
-        last = cols[first]
-        for t, x, nullable, heads in closes:
-            # t at i, and X on [i+1, j-1), or empty there when nullable
-            starts = pos[t] & (last.get(x, 0) | nullable * bit) >> 1
-            if starts:
-                for a in heads:
-                    old = col.get(a, 0)
-                    new = starts & ~old
-                    if new:
-                        col[a] = old | new
-                        if a in by_right:
-                            todo[a] = todo.get(a, 0) | new
-        while todo:
-            c, ks = todo.popitem()
-            closed, pairs = by_right[c]
-            skip = c if closed else -1  # whose new starts are not queued again
-            while ks:
-                k = ks.bit_length() - 1  # highest first
-                ks ^= 1 << k
-                left = cols[k]
-                for b, heads in pairs:
-                    starts = left.get(b)
-                    if starts:
-                        if closed:  # b is c: its starts that column k holds add no more
-                            ks &= ~starts
-                        for a in heads:
-                            old = col.get(a, 0)
-                            new = starts & ~old
-                            if new:
-                                col[a] = old | new
-                                if a != skip and a in by_right:
-                                    todo[a] = todo.get(a, 0) | new
-        cols.append(col)
-        pos[seeds[0]] |= bit  # seeds[0] is the terminal: the lowest id of its closure
+        steps, by_right, cols, pos = tables.steps, tables.by_right, self._cols, self._pos
+        last = cols[-1]
+        bit = 1 << len(cols) - 1  # the new column's start j-1
+        for symbol in symbols:
+            step = steps.get(symbol)
+            if step is None:
+                # the run's first foreign symbol: its first index is the
+                # number of columns the run pushed
+                for _ in range(symbols.index(symbol)):
+                    self.pop()
+                raise GrammarError(f"symbol {symbol!r} is not a terminal of this grammar")
+            seeds, own, closes = step
+            col = dict.fromkeys(seeds, bit)
+            # right child C -> its starts set in this column and not yet
+            # combined; the terminal's own entry stands for all its seeds,
+            # unless none of them is a right child
+            todo = {} if own is None else {own: bit}
+            for t, x, nullable, heads in closes:
+                # t at i, and X on [i+1, j-1), or empty there when nullable
+                starts = pos[t] & (last.get(x, 0) | nullable * bit) >> 1
+                if starts:
+                    for a in heads:
+                        old = col.get(a, 0)
+                        new = starts & ~old
+                        if new:
+                            col[a] = old | new
+                            if a in by_right:
+                                todo[a] = todo.get(a, 0) | new
+            while todo:
+                c, ks = todo.popitem()
+                closed, pairs = by_right[c]
+                skip = c if closed else -1  # whose new starts are not queued again
+                while ks:
+                    k = ks.bit_length() - 1  # highest first
+                    ks ^= 1 << k
+                    left = cols[k]
+                    for b, heads in pairs:
+                        starts = left.get(b)
+                        if starts:
+                            if closed:  # b is c: its starts that column k holds add no more
+                                ks &= ~starts
+                            for a in heads:
+                                old = col.get(a, 0)
+                                new = starts & ~old
+                                if new:
+                                    col[a] = old | new
+                                    if a != skip and a in by_right:
+                                        todo[a] = todo.get(a, 0) | new
+            if probe:
+                return bool(col.get(tables.start, 0) & 1)
+            cols.append(col)
+            pos[seeds[0]] |= bit  # seeds[0] is the terminal: the lowest id of its closure
+            last = col
+            bit <<= 1
+        return None
 
     def __len__(self) -> int:
         """The number of symbols pushed and not popped."""
@@ -610,11 +628,7 @@ class _Chart:
         """Whether the symbols pushed so far, then symbol, form a word of the
         language; the chart is left as it was, also when symbol is not a
         terminal and push raises."""
-        self.push(symbol)
-        cols = self._cols
-        col = cols.pop()
-        self._pos[next(iter(col))] ^= 1 << len(cols) - 1
-        return bool(col.get(self._tables.start, 0) & 1)
+        return self.push((symbol,), True)
 
     def accepts(self) -> bool:
         """Whether the symbols pushed so far form a word of the language."""
@@ -727,8 +741,9 @@ class _Chart:
 
 
 def _parsed(grammar: Grammar, word: Sequence[str]) -> _Chart:
-    """The chart with every symbol of the word pushed: the grammar's last
-    one, when it was for an equal word, or a new one that takes its place.
+    """The chart with every symbol of the word pushed, in one run: the
+    grammar's last one, when it was for an equal word, or a new one that
+    takes its place.
     So `derive` reads the chart that `cyk_member` filled.  A kept chart is
     never pushed to, so a caller holding one while another call replaces it
     still reads a whole chart.  Raises GrammarError on a symbol off the
@@ -739,8 +754,7 @@ def _parsed(grammar: Grammar, word: Sequence[str]) -> _Chart:
         return last[1]
     object.__setattr__(grammar, "_last", None)
     chart = _Chart(grammar)
-    for symbol in key:
-        chart.push(symbol)
+    chart.push(key)
     object.__setattr__(grammar, "_last", (key, chart))
     return chart
 

@@ -83,14 +83,16 @@ def _check_block(grammar: Grammar, predicate: Callable, items: Iterable) -> tupl
     without the last symbol, and probe that symbol.  When the stem is the
     previous item's, the chart is already there; otherwise pop back to the
     longest common prefix of the two stems (counted by one scan that stops at
-    the first mismatch) and push the rest.  The empty word reads the empty
-    chart.  Neighbours in length-then-lex order share most of their stem, at
-    rank 2 three in four share all of it; any order is correct.
+    the first mismatch) and push the rest in one call.  The empty word reads
+    the empty chart.  Neighbours in length-then-lex order share most of
+    their stem, at rank 2 three in four share all of it; any order is
+    correct.
 
     An oracle that offers a reader (E's and every Zx:x's, a
-    munn.IdempotentReader) is read beside the chart: the same pops and
-    pushes, and a probe of the same last symbol, each O(1), in memory linear
-    in the stem's length.  Any other oracle decides each whole item.
+    munn.IdempotentReader) is read beside the chart: the same pops, the
+    same symbols pushed one at a time, and a probe of the same last symbol,
+    each O(1), in memory linear in the stem's length.  Any other oracle
+    decides each whole item.
     Returns [false rejects, false accepts, agreements] and the earliest
     examples of the first two: a disagreement is filed under the chart's
     answer."""
@@ -114,9 +116,9 @@ def _check_block(grammar: Grammar, predicate: Callable, items: Iterable) -> tupl
                 pop()
                 if reader is not None:
                     read_pop()
-            for symbol in stem[keep:]:
-                push(symbol)
-                if reader is not None:
+            push(stem[keep:])
+            if reader is not None:
+                for symbol in stem[keep:]:
                     read_push(symbol)
             previous = stem
         if text:

@@ -229,13 +229,21 @@ def test_cyk_member_rejects_foreign_symbols():
         cyk_member(E1, "a#")
 
 
+def chart_state(chart):
+    return len(chart), [dict(col) for col in chart._cols], list(chart._pos)
+
+
 def test_chart_foreign_symbol_leaves_chart_usable():
     chart = _Chart(E1)
     chart.push("a")
-    for foreign in ("b", "#", "ab"):
+    state = chart_state(chart)
+    # a foreign symbol anywhere in a run, after pushes of that run or not,
+    # drops the columns the run pushed, and only those
+    for foreign in ("b", "#", "ab", "aAb", ("A", "ab"), "aAaAa#", ("a", "A", "a", "aA")):
         with pytest.raises(GrammarError):
             chart.push(foreign)
         assert len(chart) == 1 and not chart.accepts()
+        assert chart_state(chart) == state, foreign
     chart.push("A")
     assert len(chart) == 2 and chart.accepts()
     chart.pop()
@@ -247,6 +255,15 @@ def test_chart_foreign_symbol_leaves_chart_usable():
     for symbol in "aAAa":
         chart.push(symbol)
     assert len(chart) == 4 and chart.accepts() and chart.tree().frontier() == "aAAa"
+    # valid runs go on as single pushes do
+    chart.push("aA")
+    chart.push(("A", "a"))
+    chart.push("")
+    single = _Chart(E1)
+    for symbol in "aAAaaAAa":
+        single.push(symbol)
+    assert chart_state(chart) == chart_state(single)
+    assert chart.accepts() and chart.tree().frontier() == "aAAaaAAa"
 
 
 # (language, rank) -> the longest word pushed
@@ -318,6 +335,39 @@ def test_chart_push_pop_matches_enumeration_and_oracle(key, steps):
             else:
                 assert chart.probe(x) == oracle(word + x), word + x
             assert (len(chart), chart._pos, chart._cols) == state
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.sampled_from(sorted(CHART_BOUNDS)).map(lambda key: CHART_ROUTES[key][0]),
+                 small_grammars()),
+       st.data())
+def test_runs_build_the_columns_of_single_pushes(grammar, data):
+    # a word pushed in one call, in runs with pops and pushes between them,
+    # or a symbol at a time gives the same chart; probe(x) is push x, accepts
+    # and pop
+    terminals, draw = sorted(grammar.terminals), data.draw
+    word = draw(st.lists(st.sampled_from(terminals), max_size=8).map("".join))
+    whole, runs, single = _Chart(grammar), _Chart(grammar), _Chart(grammar)
+    whole.push(word)
+    for symbol in word:
+        single.push(symbol)
+    start = 0
+    for cut in sorted(draw(st.lists(st.integers(0, len(word)), max_size=4))) + [len(word)]:
+        run = word[start:cut]
+        runs.push(run if draw(st.booleans()) else tuple(run))
+        back = draw(st.integers(0, cut))  # pop some, and push them back as one run
+        for _ in range(back):
+            runs.pop()
+        runs.push(word[cut - back:cut])
+        start = cut
+    state = chart_state(single)
+    assert chart_state(whole) == chart_state(runs) == state
+    for x in terminals:
+        single.push(x)
+        expected = single.accepts()
+        single.pop()
+        assert whole.probe(x) == expected, word + x
+        assert chart_state(whole) == state
 
 
 def test_idempotent_chart_sets_exactly_the_reducing_spans():

@@ -178,6 +178,23 @@ def test_crosscheck_caps_stored_counterexamples():
     assert report.universe == report.agreements + report.false_reject_count
 
 
+def test_check_block_cuts_examples_back_when_they_reach_twice_the_cap(monkeypatch):
+    # a side's examples are cut to the earliest EXAMPLE_CAP exactly when they
+    # reach 2 * EXAMPLE_CAP, so no more are ever held: 255 false rejects are
+    # cut once at 200, and the last cuts see the 155 left and no accepts
+    sizes, smallest = [], oracle._smallest
+
+    def counted(found):
+        sizes.append(len(found))
+        return smallest(found)
+
+    monkeypatch.setattr(oracle, "_smallest", counted)
+    empty = Grammar({"a", "A"}, {"S"}, [], "S")
+    counts, examples = oracle._check_block(empty, always_true, enumerate_words(1, 7))
+    assert counts == [255, 0, 0] and sizes == [200, 155, 0]
+    assert examples == [smallest(list(enumerate_words(1, 7))), []]
+
+
 def test_crosscheck_parallel_matches_serial():
     serial = crosscheck(idempotent_grammar(2), is_idempotent, enumerate_words(2, 5))
     parallel = crosscheck(

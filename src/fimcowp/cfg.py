@@ -377,16 +377,21 @@ _Tables = NamedTuple("_Tables", [
     ("aux", int),  # ids from here on are auxiliaries
     ("start", int),
     # terminal u -> (its seeds: every A with A ~>* u, u's id first; u's id
-    # when its by_right entry has pairs, else None; the brackets u closes:
-    # ((opening terminal t's id, middle X, 1 if X is nullable else 0, every
-    # A' ~>* A over the brackets A -> t X u), ...)), one lookup per push
+    # when its by_right entry has a pair, lead or not, else None; the
+    # brackets u closes: ((opening terminal t's id, middle X, 1 if X is
+    # nullable else 0, every A' ~>* A over the brackets A -> t X u), ...)),
+    # one lookup per push
     ("steps", dict[str, tuple[tuple[int, ...], int | None,
                               tuple[tuple[int, int, int, tuple[int, ...]], ...]]]),
-    # right child C -> (closed, ((left child B, every A' ~>* A over the rules
-    # A -> B C), ...)); C is closed when its one pair is (C, heads) with C
-    # among the heads.  A terminal's entry merges, by B, those of every symbol
-    # it seeds, and is never closed
-    ("by_right", dict[int, tuple[bool, tuple[tuple[int, tuple[int, ...]], ...]]]),
+    # right child C -> (closed, lead, pairs): its pairs (left child B, every
+    # A' ~>* A over the rules A -> B C), split into the lead pairs, whose B
+    # is a terminal and which a push combines with all of C's starts in one
+    # mask step, and the rest, combined one start at a time.  C is closed
+    # when its one pair is (C, heads) with C among the heads, so a closed C
+    # has no lead pair.  A terminal's entry merges, by B, those of every
+    # symbol it seeds, and is never closed
+    ("by_right", dict[int, tuple[bool, tuple[tuple[int, tuple[int, ...]], ...],
+                                 tuple[tuple[int, tuple[int, ...]], ...]]]),
     # head -> (opening terminal t's id -> [(closing terminal u's id, rank,
     # middle X, rule), ...] over its brackets A -> t X u; [(rank, left child
     # B, right child C, rule), ...] over its rules A -> B C).  A rank is the
@@ -470,11 +475,13 @@ def _chart_tables(grammar: Grammar) -> _Tables:
             for b, heads in by_right.get(c, {}).items():
                 merged.setdefault(b, set()).update(heads)
         by_right[ids[t]] = merged
+    nterm = len(terminals)
     pairs = {c: (bs.keys() == {c} and c in bs[c],
-                 tuple((b, tuple(sorted(a))) for b, a in bs.items()))
+                 tuple((b, tuple(sorted(a))) for b, a in bs.items() if b < nterm),
+                 tuple((b, tuple(sorted(a))) for b, a in bs.items() if b >= nterm))
              for c, bs in by_right.items()}
     steps = {
-        u: (tuple(sorted(up[ids[u]])), ids[u] if pairs[ids[u]][1] else None,
+        u: (tuple(sorted(up[ids[u]])), ids[u] if by_right[ids[u]] else None,
             tuple((t, x, int(x in eps), tuple(sorted(a)))
                   for (t, x), a in by_close.get(u, {}).items()))
         for u in terminals
@@ -500,10 +507,14 @@ class _Chart:
     column over a work list that maps each symbol C that is the right child
     of some rule to its starts not yet combined (the terminal's entry stands
     for every seed): each start k of C combines with the finished column k
-    through the rules A -> B C.  A push reads only finished columns, since
-    B on [i, k) and C on [k, j) are both nonempty and a bracket reads column
-    j-1, so any order reaches the same least fixpoint; the work follows the
-    cells that are set.
+    through the rules A -> B C.  A rule A -> b C whose left child b is a
+    terminal (a lead pair) takes all of C's starts in one step instead: b
+    is on [k-1, k) just where w[k-1] is b, so the heads gain the starts
+    shifted down by one and masked with b's positions, and a C with only
+    lead pairs takes no start one at a time.  A push reads only finished
+    columns, since B on [i, k) and C on [k, j) are both nonempty and a
+    bracket reads column j-1, so any order reaches the same least fixpoint;
+    the work follows the cells that are set.
 
     A symbol C is closed when C -> C C, through unit parents, is the only
     rule with C as a right child (E, and the Z family).  C's starts are taken
@@ -548,23 +559,25 @@ class _Chart:
 
     def push(self, symbols: Sequence[str], probe: bool = False) -> bool | None:
         """Push each symbol of the run, a str of one-character terminals or a
-        tuple, in turn.  On a symbol off the alphabet, drop the columns this
-        run pushed and raise GrammarError.  With probe, symbols is a tuple of
-        one symbol: its column is built and dropped, and the answer is
-        whether it holds the start at 0 (see `probe`)."""
+        tuple, in turn.  On a symbol off the alphabet, an unhashable one
+        included, drop the columns this run pushed and raise GrammarError.
+        With probe, symbols is a tuple of one symbol: its column is built
+        and dropped, and the answer is whether it holds the start at 0 (see
+        `probe`)."""
         tables = self._tables
         steps, by_right, cols, pos = tables.steps, tables.by_right, self._cols, self._pos
         last = cols[-1]
         bit = 1 << len(cols) - 1  # the new column's start j-1
         for symbol in symbols:
-            step = steps.get(symbol)
-            if step is None:
+            try:
+                seeds, own, closes = steps[symbol]
+            except (KeyError, TypeError):  # off the alphabet, or unhashable
                 # the run's first foreign symbol: its first index is the
                 # number of columns the run pushed
                 for _ in range(symbols.index(symbol)):
                     self.pop()
-                raise GrammarError(f"symbol {symbol!r} is not a terminal of this grammar")
-            seeds, own, closes = step
+                raise GrammarError(
+                    f"symbol {symbol!r} is not a terminal of this grammar") from None
             col = dict.fromkeys(seeds, bit)
             # right child C -> its starts set in this column and not yet
             # combined; the terminal's own entry stands for all its seeds,
@@ -583,7 +596,21 @@ class _Chart:
                                 todo[a] = todo.get(a, 0) | new
             while todo:
                 c, ks = todo.popitem()
-                closed, pairs = by_right[c]
+                closed, lead, pairs = by_right[c]
+                if lead:
+                    for b, heads in lead:
+                        # b on [k-1, k) just where w[k-1] is b: every start at once
+                        starts = ks >> 1 & pos[b]
+                        if starts:
+                            for a in heads:
+                                old = col.get(a, 0)
+                                new = starts & ~old
+                                if new:
+                                    col[a] = old | new
+                                    if a in by_right:
+                                        todo[a] = todo.get(a, 0) | new
+                    if not pairs:
+                        continue
                 skip = c if closed else -1  # whose new starts are not queued again
                 while ks:
                     k = ks.bit_length() - 1  # highest first

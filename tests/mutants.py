@@ -77,7 +77,8 @@ EQUIVALENT: dict[tuple[str, str, str], str] = {
      "0 -> 1"):
         "a default of 1 is bit 0, which the shift right by one drops",
     ("cfg:_Chart.push", "0 in: todo[a] = todo.get(a, 0) | new", "0 -> 1"):
-        "a start 0 queued in vain combines with column 0, which is always empty",
+        "a start 0 queued in vain combines with column 0, which is always empty, and a "
+        "lead pair's shift right by one drops it",
     ("cfg:_Chart.push", "1 in: skip = c if closed else -1", "1 -> 2"):
         "-1 and -2 are both no symbol id, so no head is skipped either way",
     ("cfg:_chart_tables", "1 in: head, body, size = size, body[1:], size + 1 #2", "1 -> 2"):

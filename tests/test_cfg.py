@@ -227,6 +227,9 @@ def test_cyk_member_rejects_foreign_symbols():
         cyk_member(E1, "b")
     with pytest.raises(GrammarError):
         cyk_member(E1, "a#")
+    # a symbol that cannot even be hashed is as foreign as any other
+    with pytest.raises(GrammarError):
+        cyk_member(E1, [["a"]])
 
 
 def chart_state(chart):
@@ -238,12 +241,15 @@ def test_chart_foreign_symbol_leaves_chart_usable():
     chart.push("a")
     state = chart_state(chart)
     # a foreign symbol anywhere in a run, after pushes of that run or not,
-    # drops the columns the run pushed, and only those
-    for foreign in ("b", "#", "ab", "aAb", ("A", "ab"), "aAaAa#", ("a", "A", "a", "aA")):
+    # drops the columns the run pushed, and only those; an unhashable
+    # symbol is off the alphabet too
+    for foreign in ("b", "#", "ab", "aAb", ("A", "ab"), "aAaAa#", ("a", "A", "a", "aA"),
+                    (["x"],), ("a", "A", ["x"])):
         with pytest.raises(GrammarError):
             chart.push(foreign)
         assert len(chart) == 1 and not chart.accepts()
         assert chart_state(chart) == state, foreign
+    assert derive(E1, [["a"]]) is None and derive(E1, ["a", "A", ["x"]]) is None
     chart.push("A")
     assert len(chart) == 2 and chart.accepts()
     chart.pop()
@@ -434,12 +440,25 @@ BRACKETS = tiny([("S", "aTb"), ("S", "bSb"), ("S", "aab"), ("S", "bUa"), ("S", "
 # its heads, is a right child of X -> a D: D's new starts must be combined
 CLOSED_UNDER_A_PARENT = tiny([("X", "aD"), ("C", "D"), ("D", "CC"), ("C", "bCb"), ("C", "a")],
                              start="X")
+# the lead step: a rule A -> b C whose left child b is a terminal combines
+# with all of C's starts at once.  In X -> a b the terminal b's own entry
+# has only that lead pair, and must still be queued.
+LEAD_ONLY = tiny([("X", "ab")], start="X")
+# C is the right child of S -> a C, a lead pair, and of S -> S C, combined
+# one split at a time: an entry with both kinds of pair runs both
+LEAD_AND_SPLIT = tiny([("S", "aC"), ("S", "SC"), ("C", "b")])
+# X, the head of the lead pair of Y in X -> a Y, is itself the right child
+# of S -> b X, so its new starts must be queued
+LEAD_HEAD_QUEUED = tiny([("S", "bX"), ("X", "aY"), ("Y", "b")])
 
 
 @settings(max_examples=200, deadline=None)
 @given(small_grammars())
 @example(BRACKETS)
 @example(CLOSED_UNDER_A_PARENT)
+@example(LEAD_ONLY)
+@example(LEAD_AND_SPLIT)
+@example(LEAD_HEAD_QUEUED)
 def test_chart_and_derive_match_enumeration_on_random_grammars(grammar):
     language = enumerate_language(grammar, 5)
     for word in all_strings("ab", 5):
@@ -493,6 +512,9 @@ UNIT_DOUBLING = tiny([("S", "a"), ("S", "aT"), ("T", "S"), ("T", "SS"), ("T", "b
 @example(DOUBLING)
 @example(UNIT_DOUBLING)
 @example(CLOSED_UNDER_A_PARENT)
+@example(LEAD_ONLY)
+@example(LEAD_AND_SPLIT)
+@example(LEAD_HEAD_QUEUED)
 def test_chart_cells_mean_derivability_on_random_grammars(grammar):
     assert_cells_mean_derivability(grammar, 5)
 
@@ -507,7 +529,7 @@ def test_chart_cells_mean_derivability_on_grammars_with_a_doubling_rule(grammar)
 def closed_symbols(grammar):
     tables = _chart_tables(grammar)
     names = [*tables.terminals, *sorted(grammar.nonterminals)]  # the ids below tables.aux
-    return {names[c] for c, (closed, _) in tables.by_right.items() if closed}
+    return {names[c] for c, (closed, _, _) in tables.by_right.items() if closed}
 
 
 def test_closed_symbols_of_the_table_grammars():
@@ -563,6 +585,13 @@ def test_derivation_trees_are_pinned():
     assert count == 6788
 
 
+def random_marked(rng, length):
+    """length random letters of rank 2 with the marker at a random place."""
+    letters = "".join(rng.choice(alphabet(2)) for _ in range(length))
+    k = rng.randrange(length + 1)
+    return f"{letters[:k]}#{letters[k:]}"
+
+
 def long_words():
     """Long accepted words at rank 2 by language, whose trees are deep."""
     rng = random.Random(41)
@@ -571,6 +600,7 @@ def long_words():
     u = random_idempotent(rng, alphabet(2), 150)
     t = random_idempotent(rng, alphabet(2), 148) + "a"
     k1 = [str(sample_kmn(2, m, m, m)) for m in (1, 2, 3)]
+    marked = random.Random(43)
     return {
         "E": idempotents + ["aA" * n for n in (32, 64, 1000)],
         "K1": k1,
@@ -579,18 +609,24 @@ def long_words():
         "K2": [f"{rev_invert(right)}#{rev_invert(left)}"
                for left, right in (w.split("#") for w in k1)],
         "Zx:a": [random_idempotent(rng, alphabet(2), n, avoid="a") for n in range(64, 257, 32)],
+        # random letters around the marker, so u t does not reduce to the
+        # empty word; a generator of their own keeps the draws above fixed
+        "coWP-FG": [random_marked(marked, n) for n in (128, 256, 512)],
     }
 
 
 # sha256 of each long word with the format_tree text of its derivation,
 # recorded before the read-out became one work-stack loop (K2 and Zx:a
-# before a closed symbol's own new starts stopped being queued again)
+# before a closed symbol's own new starts stopped being queued again,
+# coWP-FG before a terminal left child took all of a right child's starts in
+# one mask step)
 LONG_TREE_SHA256 = {
     "E": "456d506c1a818a8e5f5e3c901103a5bc2ca11624f8dd8b7cb2b2a37abae1ff76",
     "K1": "583c76f3fd92567c1833e1deae5e3d718816170948eaf5889c8cf859a10bbe17",
     "coWP-FIM": "5ee3752e60b2113f9b64c191b1ef76e7dc1d3bed00fbe8920c07770825e2aa57",
     "K2": "2b16e646623eebe477fd76b1fad9347f03ec39ce57f883ef9eaa9b6b45c2ee2c",
     "Zx:a": "2f98e42d20da224a5fe4071303468208f2e915f345cdb12b67236836e76f9b4c",
+    "coWP-FG": "18a0210fbad4482e31a41ce304cd75d69fc691fb9faeebd2e77f6cf1a660ea9c",
 }
 
 

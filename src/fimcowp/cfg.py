@@ -379,9 +379,12 @@ _Tables = NamedTuple("_Tables", [
     # terminal u -> (its seeds: every A with A ~>* u, u's id first; u's id
     # when its by_right entry has a pair, lead or not, else None; the
     # brackets u closes: ((opening terminal t's id, middle X, 1 if X is
-    # nullable else 0, every A' ~>* A over the brackets A -> t X u), ...)),
-    # one lookup per push
+    # nullable else 0, every A' ~>* A over the brackets A -> t X u), ...),
+    # split into those whose every head is a lone closed symbol, which a
+    # push closes in place, and the rest), one lookup per push.  A closed C
+    # is lone when its one pair's heads are C alone: C has no unit parent
     ("steps", dict[str, tuple[tuple[int, ...], int | None,
+                              tuple[tuple[int, int, int, tuple[int, ...]], ...],
                               tuple[tuple[int, int, int, tuple[int, ...]], ...]]]),
     # right child C -> (closed, lead, pairs): its pairs (left child B, every
     # A' ~>* A over the rules A -> B C), split into the lead pairs, whose B
@@ -480,12 +483,14 @@ def _chart_tables(grammar: Grammar) -> _Tables:
                  tuple((b, tuple(sorted(a))) for b, a in bs.items() if b < nterm),
                  tuple((b, tuple(sorted(a))) for b, a in bs.items() if b >= nterm))
              for c, bs in by_right.items()}
-    steps = {
-        u: (tuple(sorted(up[ids[u]])), ids[u] if by_right[ids[u]] else None,
-            tuple((t, x, int(x in eps), tuple(sorted(a)))
-                  for (t, x), a in by_close.get(u, {}).items()))
-        for u in terminals
-    }
+    lone = {c for c, bs in by_right.items() if bs == {c: {c}}}
+    steps = {}
+    for u in terminals:
+        closes = [(t, x, int(x in eps), tuple(sorted(a)))
+                  for (t, x), a in by_close.get(u, {}).items()]
+        steps[u] = (tuple(sorted(up[ids[u]])), ids[u] if by_right[ids[u]] else None,
+                    tuple(b for b in closes if lone.issuperset(b[3])),
+                    tuple(b for b in closes if not lone.issuperset(b[3])))
     return _Tables(terminals, aux, ids[grammar.start], steps, pairs, splits, unit, eps)
 
 
@@ -526,6 +531,17 @@ class _Chart:
     queued again for C (its unit parents among the heads still are): i is a
     start of C in column k, and C on [i', i) and on [i, k) is C on [i', k),
     so combining i would bring only starts i' that combining k brought.
+
+    A closed C is lone when it has no unit parent, so that its one pair's
+    heads are C alone (E, and the Z family, in the table grammars).  A
+    bracket whose every head is lone closes each head C in place, off the
+    work list: C takes the bracket's new starts k and, highest first, the
+    starts that the finished column k holds for C, each k also dropping the
+    starts still to take that column k holds; C on [i, k) and on [k, j) is
+    C on [i, j), so one level closes C.  C is not queued, since its one
+    pair is the step just taken.  Seeds, the other brackets and the pairs
+    still queue C, and those starts are combined as above.  The work list
+    is one dict for the whole run, empty again at the end of every column.
 
     `probe` answers for one more symbol: the same loop builds its column
     against the chart, reads the start's bit 0 from it and drops it, so the
@@ -568,9 +584,13 @@ class _Chart:
         steps, by_right, cols, pos = tables.steps, tables.by_right, self._cols, self._pos
         last = cols[-1]
         bit = 1 << len(cols) - 1  # the new column's start j-1
+        # right child C -> its starts set in this column and not yet
+        # combined; empty again at the end of every column.  The terminal's
+        # own entry stands for all its seeds, unless none is a right child
+        todo: dict[int, int] = {}
         for symbol in symbols:
             try:
-                seeds, own, closes = steps[symbol]
+                seeds, own, shut, closes = steps[symbol]
             except (KeyError, TypeError):  # off the alphabet, or unhashable
                 # the run's first foreign symbol: its first index is the
                 # number of columns the run pushed
@@ -579,10 +599,26 @@ class _Chart:
                 raise GrammarError(
                     f"symbol {symbol!r} is not a terminal of this grammar") from None
             col = dict.fromkeys(seeds, bit)
-            # right child C -> its starts set in this column and not yet
-            # combined; the terminal's own entry stands for all its seeds,
-            # unless none of them is a right child
-            todo = {} if own is None else {own: bit}
+            if own is not None:
+                todo[own] = bit
+            for t, x, nullable, heads in shut:  # closed in place, off the work list
+                starts = pos[t] & (last.get(x, 0) | nullable * bit) >> 1
+                if starts:
+                    for c in heads:
+                        # c on [i, k) and the bracket's c on [k, j) is c on
+                        # [i, j), and the finished column k holds every such
+                        # i: one level closes c, highest start first
+                        old = col.get(c, 0)
+                        more = ks = starts & ~old
+                        while ks:
+                            k = ks.bit_length() - 1
+                            ks ^= 1 << k
+                            left = cols[k].get(c)
+                            if left:
+                                more |= left
+                                ks &= ~left
+                        if more:
+                            col[c] = old | more
             for t, x, nullable, heads in closes:
                 # t at i, and X on [i+1, j-1), or empty there when nullable
                 starts = pos[t] & (last.get(x, 0) | nullable * bit) >> 1

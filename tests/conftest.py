@@ -9,22 +9,25 @@ from fimcowp import oracle
 class LazyFuture:
     """A future whose call runs, in this process, when its result is read."""
 
-    def __init__(self, fn, arg):
-        self._fn, self._arg = fn, arg
+    def __init__(self, pool, fn, arg):
+        self._pool, self._fn, self._arg = pool, fn, arg
 
     def result(self):
+        self._pool.unread -= 1
         return self._fn(self._arg)
 
 
 class RecordingPool:
     """Stands in for ProcessPoolExecutor: records max_workers, the
-    initializer arguments and every argument submitted, and runs all of it
+    initializer arguments, every argument submitted and, after each submit,
+    the number of futures submitted and not yet read, and runs all of it
     in this process, each call when its result is read, so no worker is
     ever started."""
 
     def __init__(self, max_workers, initializer, initargs):
         self.sizes.append(max_workers)
         self.initargs.append(initargs)
+        self.unread = 0
         initializer(*initargs)
 
     def __enter__(self):
@@ -35,7 +38,9 @@ class RecordingPool:
 
     def submit(self, fn, arg):
         self.submitted.append(arg)
-        return LazyFuture(fn, arg)
+        self.unread += 1
+        self.in_flight.append(self.unread)
+        return LazyFuture(self, fn, arg)
 
 
 @pytest.fixture
@@ -44,7 +49,7 @@ def recording_pool(monkeypatch):
     # one, so the stand-in goes there
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(oracle, "_worker_args", ())
-    for name in ("sizes", "initargs", "submitted"):
+    for name in ("sizes", "initargs", "submitted", "in_flight"):
         monkeypatch.setattr(RecordingPool, name, [], raising=False)
     return RecordingPool
 

@@ -166,7 +166,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--target", action="append", required=True,
                         help="module:qualified.name, e.g. cfg:_Chart.tree; repeatable")
-    parser.add_argument("--tests", nargs="+", required=True, help="test files or node ids")
+    parser.add_argument("--tests", nargs="+", action="extend", required=True,
+                        help="test files or node ids; repeatable")
     args = parser.parse_args(argv)
 
     mutants = []  # (target, line, source, mutation, module file name, text)

@@ -450,6 +450,12 @@ LEAD_AND_SPLIT = tiny([("S", "aC"), ("S", "SC"), ("C", "b")])
 # X, the head of the lead pair of Y in X -> a Y, is itself the right child
 # of S -> b X, so its new starts must be queued
 LEAD_HEAD_QUEUED = tiny([("S", "bX"), ("X", "aY"), ("Y", "b")])
+# C is closed and lone, its one pair's heads being C alone, so the bracket
+# b M a closes it in place.  In column 3 of "bba", C gains start 0 only from
+# that bracket, start 1 only as the head of the pair C -> B D and start 2
+# only as a seed (C -> a); the last two go through the work list
+LONE_CLOSED_THREE_WAYS = tiny([("C", "CC"), ("C", "bMa"), ("C", "BD"), ("C", "a"),
+                               ("M", "a"), ("M", "b"), ("B", "b"), ("D", "a")], start="C")
 
 
 @settings(max_examples=200, deadline=None)
@@ -459,6 +465,7 @@ LEAD_HEAD_QUEUED = tiny([("S", "bX"), ("X", "aY"), ("Y", "b")])
 @example(LEAD_ONLY)
 @example(LEAD_AND_SPLIT)
 @example(LEAD_HEAD_QUEUED)
+@example(LONE_CLOSED_THREE_WAYS)
 def test_chart_and_derive_match_enumeration_on_random_grammars(grammar):
     language = enumerate_language(grammar, 5)
     for word in all_strings("ab", 5):
@@ -515,6 +522,7 @@ UNIT_DOUBLING = tiny([("S", "a"), ("S", "aT"), ("T", "S"), ("T", "SS"), ("T", "b
 @example(LEAD_ONLY)
 @example(LEAD_AND_SPLIT)
 @example(LEAD_HEAD_QUEUED)
+@example(LONE_CLOSED_THREE_WAYS)
 def test_chart_cells_mean_derivability_on_random_grammars(grammar):
     assert_cells_mean_derivability(grammar, 5)
 
@@ -532,6 +540,14 @@ def closed_symbols(grammar):
     return {names[c] for c, (closed, _, _) in tables.by_right.items() if closed}
 
 
+def in_place_symbols(grammar):
+    """The heads of the brackets that a push closes in place."""
+    tables = _chart_tables(grammar)
+    names = [*tables.terminals, *sorted(grammar.nonterminals)]  # the ids below tables.aux
+    return {names[c] for _, _, shut, _ in tables.steps.values() for *_, heads in shut
+            for c in heads}
+
+
 def test_closed_symbols_of_the_table_grammars():
     # binarised, a symbol is a right child only where it ends a body of two
     # or more that is not a bracket: K1's bodies end in Z(x) but never in E,
@@ -543,11 +559,19 @@ def test_closed_symbols_of_the_table_grammars():
         expected = {"E": {e}, "Zx:a": zs, "K1": {e}, "K2": zs, "coWP-FG": set(),
                     "coWP-FIM": {f"{e}@1"} | {f"{z}@2" for z in zs}}
         for name, closed in expected.items():
-            assert closed_symbols(language(name, rank).grammar()) == closed, (name, rank)
+            grammar = language(name, rank).grammar()
+            assert closed_symbols(grammar) == closed, (name, rank)
+            # every closed symbol here has no unit parent and heads brackets
+            assert in_place_symbols(grammar) == closed, (name, rank)
     assert closed_symbols(DOUBLING) == closed_symbols(UNIT_DOUBLING) == set()
     assert closed_symbols(tiny([("C", "CC"), ("C", "a")], start="C")) == {"C"}
     assert closed_symbols(tiny([("C", "D"), ("D", "CC"), ("C", "a")], start="C")) == {"C"}
+    # C's pair D -> C C has D among its heads, so C's bracket b C b is not
+    # closed in place
     assert closed_symbols(CLOSED_UNDER_A_PARENT) == {"C"}
+    assert in_place_symbols(CLOSED_UNDER_A_PARENT) == set()
+    assert closed_symbols(LONE_CLOSED_THREE_WAYS) == {"C"}
+    assert in_place_symbols(LONE_CLOSED_THREE_WAYS) == {"C"}
 
 
 def test_chart_cells_mean_derivability_on_table_grammars():

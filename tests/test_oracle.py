@@ -412,6 +412,19 @@ def test_crosscheck_streams_chunks(usable_cpus, recording_pool):
     assert pulled_at_first_read[0] <= (2 * jobs + 1) * oracle._CHUNK
 
 
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_crosscheck_keeps_two_chunks_per_worker_in_flight(monkeypatch, usable_cpus,
+                                                          recording_pool, jobs):
+    # 2,047 words in 21 chunks of 100: the pool fills to 2 * jobs futures
+    # not yet read, and a read comes before each further submit
+    usable_cpus(jobs)
+    monkeypatch.setattr(oracle, "_CHUNK", 100)
+    report = crosscheck(idempotent_grammar(1), is_idempotent, enumerate_words(1, 10), jobs=jobs)
+    assert report.clean and report.universe == 2047
+    assert recording_pool.sizes == [jobs] and len(recording_pool.submitted) == 21
+    assert max(recording_pool.in_flight) == 2 * jobs
+
+
 def test_crosscheck_one_cpu_runs_serially(usable_cpus, recording_pool):
     usable_cpus(1)
     report = crosscheck(idempotent_grammar(1), is_idempotent, enumerate_words(1, 4), jobs=4)
